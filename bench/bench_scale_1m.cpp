@@ -331,7 +331,21 @@ struct ParityRun {
   std::uint64_t digest = 0;
   std::uint64_t delivered = 0;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> per_sub;  // events, gaps
+  std::vector<BenchMetric> registry;  // matching.* probes + summed counters
 };
+
+/// Pull the matching.* covering-index probes (gauges, refreshed at snapshot
+/// time) into the report's registry block alongside the summed counters.
+void attach_matching_probes(WorkloadReport& report, harness::System& system) {
+  std::map<std::string, double> sums;
+  for (auto* node : system.nodes()) {
+    node->metrics.refresh_probes();
+    node->metrics.for_each_gauge([&](const std::string& name, double v) {
+      if (name.rfind("matching.", 0) == 0) sums[name] += v;
+    });
+  }
+  for (const auto& [name, v] : sums) report.registry.push_back({name, v});
+}
 
 void mix64(std::uint64_t& h, std::uint64_t v) {
   for (int b = 0; b < 8; ++b) {
@@ -389,20 +403,12 @@ ParityRun run_parity(std::size_t pfs_shards, int subscribers, SimDuration window
   system.append_metrics_json(metrics_json);
   for (char c : metrics_json) mix64(h, static_cast<unsigned char>(c));
   r.digest = h;
-  return r;
-}
 
-/// Pull the matching.* covering-index probes (gauges, refreshed at snapshot
-/// time) into the report's registry block alongside the summed counters.
-void attach_matching_probes(WorkloadReport& report, harness::System& system) {
-  std::map<std::string, double> sums;
-  for (auto* node : system.nodes()) {
-    node->metrics.refresh_probes();
-    node->metrics.for_each_gauge([&](const std::string& name, double v) {
-      if (name.rfind("matching.", 0) == 0) sums[name] += v;
-    });
-  }
-  for (const auto& [name, v] : sums) report.registry.push_back({name, v});
+  WorkloadReport snapshot;
+  attach_matching_probes(snapshot, system);
+  attach_registry_metrics(snapshot, system);
+  r.registry = std::move(snapshot.registry);
+  return r;
 }
 
 }  // namespace
@@ -506,17 +512,12 @@ int main(int argc, char** argv) {
       delivery_parity;
 
   {
-    // One more tiny system just to snapshot the matching.* probes into the
-    // artifact's registry block (satellite of DESIGN.md §4.8).
-    auto config = paper_config();
-    config.num_shbs = 1;
-    harness::System system(config);
-    harness::add_group_subscribers(system, 0, 16, 4, 1000);
-    system.run_for(sec(2));
-
     WorkloadReport report;
     report.name = "scale_parity";
     report.variant = "post_pr";
+    // The registry block describes the shards=1 parity run (part C); the
+    // pfs_records/bytes metrics come from the part B fan-out rig.
+    report.registry = base.registry;
     report.metrics.push_back({"pfs_records_1shard",
                               static_cast<double>(fanout.records_1shard)});
     report.metrics.push_back({"pfs_records_4shard",
@@ -529,8 +530,6 @@ int main(int argc, char** argv) {
     report.metrics.push_back({"gate_covering_compression", gate_compression ? 1.0 : 0.0});
     report.metrics.push_back({"gate_sublinear_match", gate_sublinear ? 1.0 : 0.0});
     report.metrics.push_back({"gate_shard_parity", gate_parity ? 1.0 : 0.0});
-    attach_matching_probes(report, system);
-    attach_registry_metrics(report, system);
     reports.push_back(std::move(report));
   }
 

@@ -46,10 +46,9 @@ class CheckpointToken {
     return true;
   }
 
-  /// Exact serialize() output size: entry-count u32 + 12 bytes per entry.
-  [[nodiscard]] std::size_t encoded_size() const { return 4 + 12 * entries_.size(); }
-
-  void serialize(BufWriter& w) const {
+  /// W is BufWriter, or ByteCounter for the encoded size.
+  template <typename W>
+  void serialize(W& w) const {
     w.put_u32(static_cast<std::uint32_t>(entries_.size()));
     for (const auto& [p, t] : entries_) {
       w.put_u32(p.value());

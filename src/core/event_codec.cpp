@@ -8,7 +8,8 @@ namespace {
 
 enum class ValueTag : std::uint8_t { kInt = 0, kDouble = 1, kBool = 2, kString = 3 };
 
-void encode_value(BufWriter& w, const matching::Value& v) {
+template <typename W>
+void encode_value(W& w, const matching::Value& v) {
   if (v.is_string()) {
     w.put_u8(static_cast<std::uint8_t>(ValueTag::kString));
     w.put_string(v.as_string());
@@ -49,7 +50,8 @@ matching::Value decode_value(BufReader& r) {
 
 }  // namespace
 
-void encode_event_data(BufWriter& w, const matching::EventData& e) {
+template <typename W>
+void encode_event_data(W& w, const matching::EventData& e) {
   w.put_u32(static_cast<std::uint32_t>(e.attributes().size()));
   for (const auto& [name, value] : e.attributes()) {
     w.put_string(name);
@@ -63,6 +65,9 @@ void encode_event_data(BufWriter& w, const matching::EventData& e) {
   w.put_u32(padded);
   w.put_zeros(padded - e.payload().size());
 }
+
+template void encode_event_data(BufWriter&, const matching::EventData&);
+template void encode_event_data(ByteCounter&, const matching::EventData&);
 
 matching::EventDataPtr decode_event_data(BufReader& r,
                                           const std::shared_ptr<const void>& owner) {
@@ -89,21 +94,6 @@ matching::EventDataPtr decode_event_data(BufReader& r,
   if (padded > payload.size()) r.get_bytes(padded - payload.size());
   return std::make_shared<matching::EventData>(std::move(attrs), std::move(payload),
                                                padded);
-}
-
-std::size_t encoded_event_bytes(const matching::EventData& e) {
-  std::size_t n = 4;  // attribute count
-  for (const auto& [name, value] : e.attributes()) {
-    n += 4 + name.size() + 1;  // length-prefixed name + value tag
-    if (value.is_string()) {
-      n += 4 + value.as_string().size();
-    } else if (value.is_bool()) {
-      n += 1;
-    } else {
-      n += 8;  // int64 and double both travel as a double
-    }
-  }
-  return n + 8 + e.payload_size();  // payload string + padded-size u32
 }
 
 std::vector<std::byte> encode_logged_event(const LoggedEvent& e,

@@ -29,10 +29,15 @@ struct LoggedEvent {
 [[nodiscard]] LoggedEvent decode_logged_event(std::span<const std::byte> bytes);
 
 // The event-data portion of a record — attributes then payload — shared by
-// the persistent log format above and the wire codecs (src/wire/): one
-// encoding of an event, on disk and on the wire.
+// the persistent log format above and the message payload codec
+// (core/message_codec.hpp): one encoding of an event, on disk and on the wire.
 
-void encode_event_data(BufWriter& w, const matching::EventData& e);
+/// W is BufWriter (the bytes) or ByteCounter (their exact count, which is
+/// how a message's wire_size() prices an event). This differs from
+/// EventData::encoded_size(), the cache/log *cost-model* size that omits
+/// count/tag/length framing.
+template <typename W>
+void encode_event_data(W& w, const matching::EventData& e);
 
 /// `owner` (optional) enables zero-copy decode: when non-null, the decoded
 /// event's payload is a view into the reader's underlying bytes, kept alive
@@ -41,11 +46,5 @@ void encode_event_data(BufWriter& w, const matching::EventData& e);
 /// null (the WAL recovery scan does).
 [[nodiscard]] matching::EventDataPtr decode_event_data(
     BufReader& r, const std::shared_ptr<const void>& owner = nullptr);
-
-/// Exact byte count encode_event_data() produces. This differs from
-/// EventData::encoded_size() (the cache/log *cost-model* size, which omits
-/// count/tag/length framing): it is the measured wire size, and the wire
-/// message wire_size() formulas are stated in terms of it.
-[[nodiscard]] std::size_t encoded_event_bytes(const matching::EventData& e);
 
 }  // namespace gryphon::core

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/checkpoint_token.hpp"
-#include "core/event_codec.hpp"
 #include "matching/event.hpp"
 #include "routing/tick_map.hpp"
 #include "sim/message.hpp"
@@ -56,19 +55,24 @@ enum class MsgKind : std::uint8_t {
   kJmsConsumed,
 };
 
+/// The largest valid kind byte; the frame layer rejects anything above it.
+constexpr auto kMaxMsgKind = static_cast<std::uint8_t>(MsgKind::kJmsConsumed);
+
 /// Fixed per-message envelope size — exactly the wire frame header
 /// (wire/frame.hpp: magic, version, kind, length, CRC32C, padded to 64
 /// bytes). Single source of truth; the frame static-asserts against it.
-///
-/// Every wire_size() below is kEnvelopeBytes + the exact payload byte count
-/// the wire codec (src/wire/codec.cpp) produces for that kind — CodecTransport
-/// asserts the parity on every send, so the timing model stays honest.
 constexpr std::size_t kEnvelopeBytes = 64;
 
 class Msg : public sim::Message {
  public:
   explicit Msg(MsgKind kind) : kind_(kind) {}
   [[nodiscard]] MsgKind kind() const { return kind_; }
+
+  /// kEnvelopeBytes + the payload's byte count, counted by running the
+  /// payload encoder (core/message_codec.cpp) over a ByteCounter. The
+  /// encoder is the only description of a payload, so the bandwidth model
+  /// prices exactly the bytes the wire codec writes, in every wire mode.
+  [[nodiscard]] std::size_t wire_size() const final;
 
  private:
   MsgKind kind_;
@@ -82,15 +86,6 @@ struct StreamDataMsg final : Msg {
 
   PubendId pubend;
   std::vector<routing::KnowledgeItem> items;
-
-  [[nodiscard]] std::size_t wire_size() const override {
-    std::size_t n = kEnvelopeBytes + 8;  // pubend + item count
-    for (const auto& item : items) {
-      n += 17;  // value tag + range {from, to}
-      if (item.event) n += encoded_event_bytes(*item.event);
-    }
-    return n;
-  }
 };
 
 struct NackMsg final : Msg {
@@ -106,10 +101,6 @@ struct NackMsg final : Msg {
   /// not answer — their S knowledge was filtered against an older
   /// subscription set; only the pubend's ladder is authoritative.
   bool authoritative_only;
-
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kEnvelopeBytes + 9 + 16 * ranges.size();
-  }
 };
 
 struct ReleaseUpdateMsg final : Msg {
@@ -119,8 +110,6 @@ struct ReleaseUpdateMsg final : Msg {
   PubendId pubend;
   Tick released;
   Tick latest_delivered;
-
-  [[nodiscard]] std::size_t wire_size() const override { return kEnvelopeBytes + 20; }
 };
 
 struct SubscribeMsg final : Msg {
@@ -129,10 +118,6 @@ struct SubscribeMsg final : Msg {
 
   SubscriberId subscriber;
   std::string predicate_text;
-
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kEnvelopeBytes + 8 + predicate_text.size();
-  }
 };
 
 struct SubscribeAckMsg final : Msg {
@@ -145,18 +130,12 @@ struct SubscribeAckMsg final : Msg {
   /// SHB needs this boundary to start new subscribers without a propagation
   /// hole and to bound refiltering for migrated ones.
   std::vector<std::pair<PubendId, Tick>> heads;
-
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kEnvelopeBytes + 8 + 12 * heads.size();
-  }
 };
 
 struct UnsubscribeMsg final : Msg {
   explicit UnsubscribeMsg(SubscriberId s) : Msg(MsgKind::kUnsubscribe), subscriber(s) {}
 
   SubscriberId subscriber;
-
-  [[nodiscard]] std::size_t wire_size() const override { return kEnvelopeBytes + 4; }
 };
 
 struct BrokerResumeMsg final : Msg {
@@ -165,10 +144,6 @@ struct BrokerResumeMsg final : Msg {
 
   /// Per pubend: the child has everything <= tick; stream from tick+1.
   std::vector<std::pair<PubendId, Tick>> resume_from;
-
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kEnvelopeBytes + 4 + 12 * resume_from.size();
-  }
 };
 
 // ---------------------------------------------------------------- publishers
@@ -193,10 +168,6 @@ struct PublishMsg final : Msg {
   std::uint64_t acked_below;
   PubendId pubend;
   matching::EventDataPtr event;
-
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kEnvelopeBytes + 24 + encoded_event_bytes(*event);
-  }
 };
 
 struct PublishAckMsg final : Msg {
@@ -206,8 +177,6 @@ struct PublishAckMsg final : Msg {
   PublisherId publisher;
   std::uint64_t seq;
   Tick assigned_tick;
-
-  [[nodiscard]] std::size_t wire_size() const override { return kEnvelopeBytes + 20; }
 };
 
 // ---------------------------------------------------------------- subscribers
@@ -229,10 +198,6 @@ struct ConnectMsg final : Msg {
   CheckpointToken ct;          // resumption point (ignored on first connect)
   bool jms_auto_ack;           // SHB-managed CT, committed per event (§5.2)
   bool use_stored_ct;          // resume from the SHB's stored CT (JMS mode)
-
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kEnvelopeBytes + 9 + predicate_text.size() + ct.encoded_size();
-  }
 };
 
 struct ConnectedMsg final : Msg {
@@ -242,18 +207,12 @@ struct ConnectedMsg final : Msg {
   SubscriberId subscriber;
   /// On first connect: the starting CT (latestDelivered of every pubend).
   CheckpointToken initial_ct;
-
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kEnvelopeBytes + 4 + initial_ct.encoded_size();
-  }
 };
 
 struct DisconnectMsg final : Msg {
   explicit DisconnectMsg(SubscriberId s) : Msg(MsgKind::kDisconnect), subscriber(s) {}
 
   SubscriberId subscriber;
-
-  [[nodiscard]] std::size_t wire_size() const override { return kEnvelopeBytes + 4; }
 };
 
 struct UnsubscribeReqMsg final : Msg {
@@ -261,8 +220,6 @@ struct UnsubscribeReqMsg final : Msg {
       : Msg(MsgKind::kUnsubscribeReq), subscriber(s) {}
 
   SubscriberId subscriber;
-
-  [[nodiscard]] std::size_t wire_size() const override { return kEnvelopeBytes + 4; }
 };
 
 struct AckMsg final : Msg {
@@ -271,10 +228,6 @@ struct AckMsg final : Msg {
 
   SubscriberId subscriber;
   CheckpointToken ct;
-
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kEnvelopeBytes + 4 + ct.encoded_size();
-  }
 };
 
 struct EventDeliveryMsg final : Msg {
@@ -292,10 +245,6 @@ struct EventDeliveryMsg final : Msg {
   Tick tick;
   matching::EventDataPtr event;
   bool from_catchup;  // diagnostics only
-
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kEnvelopeBytes + 17 + encoded_event_bytes(*event);
-  }
 };
 
 struct SilenceDeliveryMsg final : Msg {
@@ -305,8 +254,6 @@ struct SilenceDeliveryMsg final : Msg {
   SubscriberId subscriber;
   PubendId pubend;
   Tick upto;  // guarantees no matching events in (previous, upto]
-
-  [[nodiscard]] std::size_t wire_size() const override { return kEnvelopeBytes + 16; }
 };
 
 struct JmsConsumedMsg final : Msg {
@@ -316,8 +263,6 @@ struct JmsConsumedMsg final : Msg {
   SubscriberId subscriber;
   PubendId pubend;
   Tick tick;
-
-  [[nodiscard]] std::size_t wire_size() const override { return kEnvelopeBytes + 16; }
 };
 
 struct GapDeliveryMsg final : Msg {
@@ -327,8 +272,6 @@ struct GapDeliveryMsg final : Msg {
   SubscriberId subscriber;
   PubendId pubend;
   TickRange range;  // there MAY have been matching events in (prev, range.to]
-
-  [[nodiscard]] std::size_t wire_size() const override { return kEnvelopeBytes + 24; }
 };
 
 }  // namespace gryphon::core

@@ -21,12 +21,6 @@ constexpr sim::LinkConfig kProxyLink{/*latency=*/0,
 constexpr SimDuration kRedialDelay = msec(300);
 constexpr SimDuration kClientPollInterval = msec(20);
 
-FrameReassembler::Options reassembly_options() {
-  FrameReassembler::Options o;
-  o.max_kind = static_cast<std::uint8_t>(core::MsgKind::kJmsConsumed);
-  return o;
-}
-
 bool wal_dir_populated(const std::string& dir) {
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
@@ -173,7 +167,7 @@ void BrokerProcess::setup_listener() {
 
 void BrokerProcess::adopt_socket(int fd) {
   auto conn = std::make_unique<Connection>(loop_, fd, options_.name + ".accept",
-                                           /*connecting=*/false, reassembly_options());
+                                           /*connecting=*/false);
   Connection* raw = conn.get();
   raw->set_on_line([this, raw](const std::string& line) {
     auto it = std::find_if(pending_.begin(), pending_.end(),
@@ -320,7 +314,7 @@ void BrokerProcess::dial_parent() {
   peer.proxy = parent_proxy_;
   peer.proxy_set = true;
   peer.conn = std::make_unique<Connection>(loop_, fd, options_.name + "->parent",
-                                           /*connecting=*/true, reassembly_options());
+                                           /*connecting=*/true);
   peer.conn->set_on_line([this](const std::string& line) {
     if (line == "GRYREADY") {
       on_parent_ready();

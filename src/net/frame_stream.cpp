@@ -69,7 +69,7 @@ std::shared_ptr<const sim::FrameMessage> FrameReassembler::next() {
       continue;
     }
     const std::uint32_t len = read_u32le(p + 12);
-    if (len > options_.max_payload_bytes) {
+    if (len > wire::kMaxFramePayloadBytes) {
       // A corrupt length prefix could stall the stream forever waiting for
       // bytes that never come; bound it, count it, rescan.
       ++rejects_;
@@ -83,8 +83,7 @@ std::shared_ptr<const sim::FrameMessage> FrameReassembler::next() {
       // the normal mid-frame TCP boundary, not corruption.
       return nullptr;
     }
-    const wire::FrameParse parse =
-        wire::parse_frame({p, total}, options_.max_kind);
+    const wire::FrameParse parse = wire::parse_frame({p, total});
     if (parse.consumed == 0) {
       // Complete but corrupt (CRC / version / kind): counted, then the
       // stream resyncs at the next magic. The corrupt frame's own length

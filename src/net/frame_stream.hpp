@@ -34,17 +34,6 @@ namespace gryphon::net {
 
 class FrameReassembler {
  public:
-  struct Options {
-    /// Largest valid message-kind byte (the frame layer is vocabulary-
-    /// agnostic; callers pass their protocol's max kind).
-    std::uint8_t max_kind = 0xff;
-    /// Length prefixes above this are treated as corruption.
-    std::size_t max_payload_bytes = 64u << 20;
-  };
-
-  FrameReassembler() : FrameReassembler(Options{}) {}
-  explicit FrameReassembler(Options options) : options_(options) {}
-
   /// Appends received bytes to the stream buffer.
   void feed(std::span<const std::byte> bytes);
 
@@ -70,7 +59,6 @@ class FrameReassembler {
   /// already charged for it.
   void resync();
 
-  Options options_;
   std::vector<std::byte> buf_;
   std::size_t head_ = 0;        // consumed prefix of buf_
   bool in_garbage_run_ = false;  // reject already charged for current run

@@ -112,13 +112,11 @@ TcpListener::~TcpListener() {
   ::close(fd_);
 }
 
-Connection::Connection(EventLoop& loop, int fd, std::string label, bool connecting,
-                       FrameReassembler::Options reassembly)
+Connection::Connection(EventLoop& loop, int fd, std::string label, bool connecting)
     : loop_(loop),
       fd_(fd),
       label_(std::move(label)),
       connecting_(connecting),
-      reassembler_(reassembly),
       alive_(std::make_shared<const char>('c')) {
   GRYPHON_CHECK(fd_ >= 0);
 }
@@ -144,6 +142,7 @@ void Connection::send_line(const std::string& line) {
 
 void Connection::send_bytes(std::span<const std::byte> bytes) {
   if (fd_ < 0) return;  // already dead: the owner will hear via on_close
+  const std::shared_ptr<const char> guard = alive_;
   // Compact the sent prefix before it grows unbounded.
   if (out_head_ >= 65536 && out_head_ * 2 >= outbox_.size()) {
     outbox_.erase(outbox_.begin(), outbox_.begin() + static_cast<std::ptrdiff_t>(out_head_));
@@ -151,6 +150,8 @@ void Connection::send_bytes(std::span<const std::byte> bytes) {
   }
   outbox_.insert(outbox_.end(), bytes.begin(), bytes.end());
   if (!connecting_) flush();
+  // A failed send runs on_close, which may have destroyed this Connection.
+  if (guard.use_count() == 1) return;
   update_interest();
 }
 

@@ -72,8 +72,7 @@ class Connection {
 
   /// Adopts a socket. `connecting` = a tcp_connect_start fd whose handshake
   /// may still be in flight.
-  Connection(EventLoop& loop, int fd, std::string label, bool connecting,
-             FrameReassembler::Options reassembly = {});
+  Connection(EventLoop& loop, int fd, std::string label, bool connecting);
   ~Connection();
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;

@@ -12,10 +12,11 @@
 //    and dropped, exactly like a lost message.
 //
 // The contract that keeps struct- and codec-mode runs bit-identical on the
-// same seed: to_wire() must preserve wire_size() (the codec asserts
-// encoded-frame size == the message's analytic estimate), and from_wire()
-// must reproduce the message exactly (the codec asserts a canonical
-// re-encode). Timing then depends only on byte counts, which agree.
+// same seed: to_wire() must preserve wire_size() (a protocol message's
+// wire_size() counts what the codec's encoder writes, so the frame has that
+// size by construction), and from_wire() must reproduce the message exactly
+// (the codec checks a canonical re-encode). Timing then depends only on
+// byte counts, which agree.
 #pragma once
 
 #include "sim/message.hpp"
@@ -32,7 +33,7 @@ class Transport {
   [[nodiscard]] virtual const char* name() const = 0;
 
   /// Translates a protocol message into what travels on the from->to link.
-  /// Must preserve wire_size(). Never returns nullptr.
+  /// Must preserve wire_size() byte for byte. Never returns nullptr.
   [[nodiscard]] virtual MessagePtr to_wire(EndpointId from, EndpointId to,
                                            MessagePtr msg) = 0;
 

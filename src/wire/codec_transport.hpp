@@ -5,24 +5,20 @@
 // frames back-to-back into one shared FrameArena (a recycled buffer from a
 // bounded BufferPool), and each send returns an (arena, offset, len)
 // FrameMessage view. The arena's capacity is checked against the message's
-// exact wire_size() *before* encoding, and the arena is sealed (a fresh one
+// wire_size() *before* encoding, and the arena is sealed (a fresh one
 // acquired) when the frame would not fit — so the buffer never reallocates
-// under live views. The decode path is zero-copy: event payload fields of
-// the decoded message are views into the frame, pinned by the arena's
-// shared ownership handle.
+// under live views. wire_size() counts what the payload encoder writes
+// (core/message_codec.hpp), so the pre-check is exact by construction.
+// The decode path is zero-copy: event payload fields of the decoded message
+// are views into the frame, pinned by the arena's shared ownership handle.
 //
-// Honesty checks (GRYPHON_CHECK — a failure is a bug, not a tolerable
-// fault):
-//  * wire-size parity at send, on every message: the encoded frame must be
-//    exactly msg.wire_size() bytes, so struct- and codec-mode runs price
-//    identical byte counts and stay schedule-identical on the same seed
-//    (this same check is what guarantees the arena pre-check was exact);
-//  * canonical re-encode at receive, SAMPLED: re-encoding the decoded
-//    message must reproduce the frame bit-for-bit. Running it on every
-//    message roughly doubles decode cost, so steady state verifies a
-//    seeded, deterministic 1-in-N sample (Options::verify_every, default
-//    64). verify_every <= 1 means every message — tests and the chaos
-//    ASan leg run that way (--wire-verify=always).
+// Honesty check (GRYPHON_CHECK — a failure is a bug, not a tolerable
+// fault): canonical re-encode at receive, SAMPLED. Re-encoding the decoded
+// message must reproduce the frame bit-for-bit. Running it on every message
+// roughly doubles decode cost, so steady state verifies a seeded,
+// deterministic 1-in-N sample (Options::verify_every, default 64).
+// verify_every <= 1 means every message — tests and the chaos ASan leg run
+// that way (--wire-verify=always).
 //
 // A frame that fails to decode (chaos byte flips / truncations) is not a
 // bug: from_wire() returns nullptr and the Network counts a decode reject

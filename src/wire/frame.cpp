@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "core/messages.hpp"
 #include "storage/crc32c.hpp"
 
 namespace gryphon::wire {
@@ -53,7 +54,7 @@ void append_frame(std::vector<std::byte>& out, std::uint8_t kind,
   finish_frame(out, base, kind);
 }
 
-FrameParse parse_frame(std::span<const std::byte> bytes, std::uint8_t max_kind) {
+FrameParse parse_frame(std::span<const std::byte> bytes) {
   FrameParse r;
   if (bytes.size() < kFrameHeaderBytes) {
     r.reason = "torn frame header";
@@ -88,7 +89,7 @@ FrameParse parse_frame(std::span<const std::byte> bytes, std::uint8_t max_kind) 
   // CRC has passed: anything wrong past this point is encoder version skew,
   // not wire damage — still rejected, never trusted.
   const auto kind = static_cast<std::uint8_t>(bytes[kKindAt]);
-  if (kind > max_kind) {
+  if (kind > core::kMaxMsgKind) {
     r.reason = "unknown message kind";
     return r;
   }

@@ -8,9 +8,9 @@
 //   | payload (len bytes)                                             |
 //   +-----------------------------------------------------------------+
 //
-// The header is padded to exactly 64 bytes = core::kEnvelopeBytes, so the
-// frame's total size equals the envelope constant the analytic wire_size()
-// formulas (and every paper byte-accounting claim) are stated in. The CRC
+// The header is padded to exactly 64 bytes = core::kEnvelopeBytes, the
+// envelope Msg::wire_size() charges on top of the counted payload (and that
+// every paper byte-accounting claim is stated in). The CRC
 // covers magic..len, the reserved padding and the payload — every byte of
 // the frame except the CRC field itself — so any single flipped byte or
 // torn tail is detected.
@@ -59,9 +59,8 @@ struct FrameParse {
   const char* reason = nullptr;  // set when consumed == 0
 };
 
-/// Parses one frame from the start of `bytes`. `max_kind` is the largest
-/// valid message-kind byte (the frame layer itself is vocabulary-agnostic).
-[[nodiscard]] FrameParse parse_frame(std::span<const std::byte> bytes,
-                                     std::uint8_t max_kind);
+/// Parses one frame from the start of `bytes`. A kind byte above
+/// core::kMaxMsgKind is a reject ("unknown message kind").
+[[nodiscard]] FrameParse parse_frame(std::span<const std::byte> bytes);
 
 }  // namespace gryphon::wire

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -17,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/messages.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame_stream.hpp"
 #include "net/tcp.hpp"
@@ -61,7 +64,7 @@ void expect_clean_reassembly(const Batch& b, std::size_t stride) {
     r.feed(std::span<const std::byte>(b.wire.data() + off, n));
     while (auto frame = r.next()) {
       ASSERT_LT(seen, b.payloads.size()) << "stride " << stride;
-      const auto parsed = wire::parse_frame(frame->wire_bytes(), 0xff);
+      const auto parsed = wire::parse_frame(frame->wire_bytes());
       ASSERT_GT(parsed.consumed, 0u);
       EXPECT_EQ(parsed.kind, b.kinds[seen]);
       const std::string payload(reinterpret_cast<const char*>(parsed.payload.data()),
@@ -106,8 +109,7 @@ TEST(FrameReassembler, CorruptMiddleFrameIsRejectedWithoutDesync) {
   std::size_t offset = 0;
   for (int i = 0; i < 3; ++i) {
     const auto p = wire::parse_frame(
-        std::span<const std::byte>(b.wire.data() + offset, b.wire.size() - offset),
-        0xff);
+        std::span<const std::byte>(b.wire.data() + offset, b.wire.size() - offset));
     offset += p.consumed;
   }
   b.wire[offset + wire::kFrameHeaderBytes + 10] ^= std::byte{0x40};
@@ -119,7 +121,7 @@ TEST(FrameReassembler, CorruptMiddleFrameIsRejectedWithoutDesync) {
       const std::size_t n = std::min(stride, b.wire.size() - off);
       r.feed(std::span<const std::byte>(b.wire.data() + off, n));
       while (auto frame = r.next()) {
-        const auto parsed = wire::parse_frame(frame->wire_bytes(), 0xff);
+        const auto parsed = wire::parse_frame(frame->wire_bytes());
         seen.emplace_back(reinterpret_cast<const char*>(parsed.payload.data()),
                           parsed.payload.size());
       }
@@ -139,7 +141,7 @@ TEST(FrameReassembler, GarbageBetweenFramesCountsOneRejectPerRun) {
   const auto junk = bytes_of("this is not a frame header at all...");
   // frame0 | junk | frame1..4
   const auto first = wire::parse_frame(
-      std::span<const std::byte>(clean.wire.data(), clean.wire.size()), 0xff);
+      std::span<const std::byte>(clean.wire.data(), clean.wire.size()));
   wire.insert(wire.end(), clean.wire.begin(),
               clean.wire.begin() + static_cast<std::ptrdiff_t>(first.consumed));
   wire.insert(wire.end(), junk.begin(), junk.end());
@@ -179,14 +181,14 @@ TEST(FrameReassembler, TornTailIsBufferedNotEmitted) {
 TEST(FrameReassembler, KindAboveMaxIsCorruption) {
   std::vector<std::byte> wire;
   const auto payload = bytes_of("payload");
-  wire::append_frame(wire, /*kind=*/9, payload);
+  wire::append_frame(wire, core::kMaxMsgKind + 1, payload);
   wire::append_frame(wire, /*kind=*/2, payload);
 
-  net::FrameReassembler r(net::FrameReassembler::Options{/*max_kind=*/5});
+  net::FrameReassembler r;
   r.feed(wire);
   const auto frame = r.next();
   ASSERT_NE(frame, nullptr);  // the second frame survives the reject
-  EXPECT_EQ(wire::parse_frame(frame->wire_bytes(), 5).kind, 2);
+  EXPECT_EQ(wire::parse_frame(frame->wire_bytes()).kind, 2);
   EXPECT_EQ(r.rejects(), 1u);
   EXPECT_EQ(r.next(), nullptr);
 }
@@ -208,7 +210,7 @@ TEST(FrameReassembler, InsaneLengthPrefixIsConsumedAsCorruption) {
   r.feed(wire);
   const auto frame = r.next();
   ASSERT_NE(frame, nullptr);
-  EXPECT_EQ(wire::parse_frame(frame->wire_bytes(), 0xff).kind, 2);
+  EXPECT_EQ(wire::parse_frame(frame->wire_bytes()).kind, 2);
   EXPECT_EQ(r.rejects(), 1u);
 }
 
@@ -309,6 +311,50 @@ TEST(Connection, LoopbackHandshakeAndFrames) {
   EXPECT_EQ(server_frames, batch.payloads.size());
   EXPECT_EQ(client_frames, batch.payloads.size());
   EXPECT_EQ(client.reassembly_rejects(), 0u);
+}
+
+// A send that fails on a reset socket runs on_close from inside
+// send_bytes(), and on_close may destroy the Connection (the broker's
+// handlers reset their owning unique_ptr). Nothing may touch the freed
+// Connection afterwards; under ASan any such access fails this test.
+TEST(Connection, SendIntoAResetPeerSurvivesOnCloseDestroyingTheConnection) {
+  net::EventLoop loop;
+  std::string err;
+  const int lfd = net::tcp_listen(0, &err);
+  ASSERT_GE(lfd, 0) << err;
+  const int cfd = net::tcp_connect_start("127.0.0.1", net::local_port(lfd), &err);
+  ASSERT_GE(cfd, 0) << err;
+  int sfd = -1;
+  for (int tries = 0; sfd < 0 && tries < 200; ++tries) {
+    sfd = ::accept(lfd, nullptr, nullptr);
+    if (sfd < 0) ::usleep(5 * 1000);
+  }
+  ASSERT_GE(sfd, 0) << "loopback accept never completed";
+  pollfd connected{cfd, POLLOUT, 0};
+  ASSERT_EQ(::poll(&connected, 1, 2000), 1);
+
+  auto conn = std::make_unique<net::Connection>(loop, cfd, "client",
+                                                /*connecting=*/false);
+  std::string reason;
+  conn->set_on_close([&](const std::string& why) {
+    reason = why;
+    conn.reset();
+  });
+  conn->start();
+
+  // SO_LINGER{1, 0}: close() sends RST instead of FIN.
+  const linger hard_reset{1, 0};
+  ASSERT_EQ(::setsockopt(sfd, SOL_SOCKET, SO_LINGER, &hard_reset, sizeof hard_reset), 0);
+  ::close(sfd);
+  ::close(lfd);
+  pollfd reset{cfd, POLLIN, 0};
+  ASSERT_EQ(::poll(&reset, 1, 2000), 1);  // the RST has landed
+
+  // No loop tick: the failed send must run on_close and return cleanly.
+  const std::vector<std::byte> bytes(512, std::byte{0x5a});
+  conn->send_bytes(bytes);
+  EXPECT_EQ(conn, nullptr);
+  EXPECT_FALSE(reason.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Wire-protocol tests: frame/codec round-trips for every MsgKind, the
 // decode-never-throws rejection contract (every torn prefix and every
-// flipped byte of every sample frame must be rejected), wire-size parity
-// between the analytic formulas and the byte codec, structural rejects
+// flipped byte of every sample frame must be rejected), wire_size() equal
+// to the encoded frame over a fixed and a seeded random corpus, structural rejects
 // behind a valid CRC, and the System-level guarantees: struct- and
 // codec-mode runs are schedule-identical on the same seed, and seeded
 // frame corruption under chaos never breaks exactly-once.
@@ -18,6 +18,7 @@
 #include "harness/workload.hpp"
 #include "storage/crc32c.hpp"
 #include "util/byte_buffer.hpp"
+#include "util/rng.hpp"
 #include "wire/codec.hpp"
 #include "wire/codec_transport.hpp"
 #include "wire/frame.hpp"
@@ -97,6 +98,165 @@ std::vector<std::shared_ptr<core::Msg>> sample_messages() {
   return msgs;
 }
 
+/// A seeded random corpus, `per_kind` messages of every MsgKind: StreamData
+/// with 0-64 items mixing S, D and L; events with int, double, bool and
+/// string attributes and empty, short or padded payloads; checkpoint tokens
+/// from empty to many entries. It reaches the shapes the fixed corpus above
+/// never builds (integer/string attribute mixes, empty payloads, long item
+/// lists).
+std::vector<std::shared_ptr<core::Msg>> random_messages(std::uint64_t seed,
+                                                        int per_kind) {
+  Rng rng(seed);
+  const auto below = [&](std::uint64_t n) { return rng.next_below(n); };
+  const auto text = [&](std::uint64_t max_len) {
+    std::string s(below(max_len + 1), ' ');
+    for (char& c : s) c = static_cast<char>('a' + below(26));
+    return s;
+  };
+  const auto tick = [&] { return static_cast<Tick>(below(1ull << 40)); };
+  const auto range = [&] {
+    const Tick from = tick();
+    return TickRange{from, from + static_cast<Tick>(below(1000))};
+  };
+  const auto event = [&] {
+    matching::EventData::AttributeList attrs;
+    const std::uint64_t n = below(6);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      std::string name = "a" + std::to_string(i);
+      switch (below(4)) {
+        case 0:
+          attrs.emplace_back(name, static_cast<std::int64_t>(below(1u << 20)) - (1 << 19));
+          break;
+        case 1:
+          attrs.emplace_back(name, static_cast<double>(below(1'000'000)) / 64.0);
+          break;
+        case 2:
+          attrs.emplace_back(name, below(2) == 1);
+          break;
+        default:
+          attrs.emplace_back(name, text(40));
+          break;
+      }
+    }
+    std::string payload = below(3) == 0 ? std::string() : text(300);
+    const std::size_t padded = below(2) == 0 ? 0 : payload.size() + below(2048);
+    return std::make_shared<matching::EventData>(std::move(attrs), std::move(payload),
+                                                 padded);
+  };
+  const auto token = [&] {
+    CheckpointToken ct;
+    const std::uint64_t n = below(2) == 0 ? 0 : below(16);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ct.set(PubendId{static_cast<std::uint32_t>(below(64))}, tick());
+    }
+    return ct;
+  };
+  const auto heads = [&] {
+    std::vector<std::pair<PubendId, Tick>> hs(below(8));
+    for (auto& [p, t] : hs) {
+      p = PubendId{static_cast<std::uint32_t>(below(64))};
+      t = tick();
+    }
+    return hs;
+  };
+  const auto id = [&] { return static_cast<std::uint32_t>(below(1u << 30)); };
+
+  std::vector<std::shared_ptr<core::Msg>> msgs;
+  for (int i = 0; i < per_kind; ++i) {
+    for (unsigned k = 0; k <= core::kMaxMsgKind; ++k) {
+      switch (static_cast<MsgKind>(k)) {
+        case MsgKind::kStreamData: {
+          std::vector<routing::KnowledgeItem> items(below(65));
+          for (auto& item : items) {
+            switch (below(3)) {
+              case 0:
+                item = {routing::TickValue::kS, range(), nullptr};
+                break;
+              case 1: {
+                const Tick t = tick();
+                item = {routing::TickValue::kD, TickRange{t, t}, event()};
+                break;
+              }
+              default:
+                item = {routing::TickValue::kL, range(), nullptr};
+                break;
+            }
+          }
+          msgs.push_back(std::make_shared<core::StreamDataMsg>(PubendId{id()},
+                                                               std::move(items)));
+          break;
+        }
+        case MsgKind::kNack: {
+          std::vector<TickRange> ranges(below(20));
+          for (auto& r : ranges) r = range();
+          msgs.push_back(std::make_shared<core::NackMsg>(PubendId{id()}, std::move(ranges),
+                                                         below(2) == 1));
+          break;
+        }
+        case MsgKind::kReleaseUpdate:
+          msgs.push_back(
+              std::make_shared<core::ReleaseUpdateMsg>(PubendId{id()}, tick(), tick()));
+          break;
+        case MsgKind::kSubscribe:
+          msgs.push_back(std::make_shared<core::SubscribeMsg>(SubscriberId{id()}, text(80)));
+          break;
+        case MsgKind::kSubscribeAck:
+          msgs.push_back(
+              std::make_shared<core::SubscribeAckMsg>(SubscriberId{id()}, heads()));
+          break;
+        case MsgKind::kUnsubscribe:
+          msgs.push_back(std::make_shared<core::UnsubscribeMsg>(SubscriberId{id()}));
+          break;
+        case MsgKind::kBrokerResume:
+          msgs.push_back(std::make_shared<core::BrokerResumeMsg>(heads()));
+          break;
+        case MsgKind::kPublish:
+          msgs.push_back(std::make_shared<core::PublishMsg>(
+              PublisherId{id()}, rng.next_u64(), rng.next_u64(), PubendId{id()}, event()));
+          break;
+        case MsgKind::kPublishAck:
+          msgs.push_back(std::make_shared<core::PublishAckMsg>(PublisherId{id()},
+                                                               rng.next_u64(), tick()));
+          break;
+        case MsgKind::kConnect:
+          msgs.push_back(std::make_shared<core::ConnectMsg>(
+              SubscriberId{id()}, below(2) == 1, text(80), token(), below(2) == 1,
+              below(2) == 1));
+          break;
+        case MsgKind::kConnected:
+          msgs.push_back(std::make_shared<core::ConnectedMsg>(SubscriberId{id()}, token()));
+          break;
+        case MsgKind::kDisconnect:
+          msgs.push_back(std::make_shared<core::DisconnectMsg>(SubscriberId{id()}));
+          break;
+        case MsgKind::kUnsubscribeReq:
+          msgs.push_back(std::make_shared<core::UnsubscribeReqMsg>(SubscriberId{id()}));
+          break;
+        case MsgKind::kAck:
+          msgs.push_back(std::make_shared<core::AckMsg>(SubscriberId{id()}, token()));
+          break;
+        case MsgKind::kEventDelivery:
+          msgs.push_back(std::make_shared<core::EventDeliveryMsg>(
+              SubscriberId{id()}, PubendId{id()}, tick(), event(), below(2) == 1));
+          break;
+        case MsgKind::kSilenceDelivery:
+          msgs.push_back(std::make_shared<core::SilenceDeliveryMsg>(SubscriberId{id()},
+                                                                    PubendId{id()}, tick()));
+          break;
+        case MsgKind::kGapDelivery:
+          msgs.push_back(std::make_shared<core::GapDeliveryMsg>(SubscriberId{id()},
+                                                                PubendId{id()}, range()));
+          break;
+        case MsgKind::kJmsConsumed:
+          msgs.push_back(std::make_shared<core::JmsConsumedMsg>(SubscriberId{id()},
+                                                                PubendId{id()}, tick()));
+          break;
+      }
+    }
+  }
+  return msgs;
+}
+
 /// Recomputes and patches the frame CRC after a deliberate header mutation,
 /// so structural checks *behind* the CRC can be exercised in isolation.
 void patch_crc(std::vector<std::byte>& frame) {
@@ -109,7 +269,7 @@ void patch_crc(std::vector<std::byte>& frame) {
 // ------------------------------------------------------------- round trips
 
 TEST(WireCodec, SampleCorpusCoversEveryMsgKind) {
-  std::vector<bool> seen(static_cast<std::size_t>(MsgKind::kJmsConsumed) + 1, false);
+  std::vector<bool> seen(std::size_t{core::kMaxMsgKind} + 1, false);
   for (const auto& msg : sample_messages()) {
     seen[static_cast<std::size_t>(msg->kind())] = true;
   }
@@ -119,10 +279,15 @@ TEST(WireCodec, SampleCorpusCoversEveryMsgKind) {
 }
 
 TEST(WireCodec, EveryKindRoundTripsCanonicallyAtParity) {
-  for (const auto& msg : sample_messages()) {
+  auto corpus = sample_messages();
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    const auto more = random_messages(seed, /*per_kind=*/8);
+    corpus.insert(corpus.end(), more.begin(), more.end());
+  }
+  for (const auto& msg : corpus) {
     const auto frame = wire::encode(*msg);
-    // Wire-size parity: the analytic formula IS the encoded size.
-    EXPECT_EQ(frame.size(), msg->wire_size())
+    // wire_size() is the encoder run over a byte counter: the frame's size.
+    EXPECT_EQ(msg->wire_size(), frame.size())
         << "kind " << static_cast<int>(msg->kind());
     const auto r = wire::decode(frame);
     ASSERT_NE(r.msg, nullptr) << "kind " << static_cast<int>(msg->kind())
@@ -229,8 +394,8 @@ TEST(WireCodec, StructurallyInvalidPayloadsBehindAValidCrcAreRejected) {
     return std::string(r.reason ? r.reason : "(accepted)");
   };
 
-  // Unknown message kind (frame layer is vocabulary-agnostic, codec is not).
-  EXPECT_EQ(reject_reason(static_cast<std::uint8_t>(MsgKind::kJmsConsumed) + 1, {}),
+  // Unknown message kind: the frame layer rejects a kind above kMaxMsgKind.
+  EXPECT_EQ(reject_reason(core::kMaxMsgKind + 1, {}),
             "unknown message kind");
 
   // A truncated payload field: Disconnect needs 4 bytes, gets none.
@@ -498,8 +663,8 @@ RunFingerprint run_scenario(harness::WireMode wire) {
 }
 
 TEST(WireSystem, StructAndCodecRunsAreScheduleIdenticalOnTheSameSeed) {
-  // Wire-size parity is what makes this hold: the codec prices exactly the
-  // bytes the analytic formulas promise, so the bandwidth model computes
+  // Wire-size parity is what makes this hold: wire_size() counts exactly the
+  // bytes the codec writes, so the bandwidth model computes
   // identical departure/arrival times and the whole run is bit-identical.
   const auto s = run_scenario(harness::WireMode::kStruct);
   const auto c = run_scenario(harness::WireMode::kCodec);

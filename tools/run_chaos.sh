@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Chaos soak under ASan+UBSan: builds the sanitizer preset and runs N seeded
-# fault schedules plus the chaos test suite. Any invariant violation prints
-# the offending seed and its decoded fault timeline; rerun with
+# fault schedules plus the chaos, socket and wire test suites. Any invariant
+# violation prints the offending seed and its decoded fault timeline; rerun with
 #   bench_chaos_soak 1 <seed>
 # (or ChaosConfig{.seed = <seed>} in a test) to replay it exactly.
 #
@@ -14,10 +14,16 @@ FIRST_SEED="${2:-1}"
 HORIZON_S="${3:-10}"
 
 cmake --preset asan-ubsan
-cmake --build --preset asan-ubsan -j "$(nproc)" --target test_chaos bench_chaos_soak bench_wallclock bench_recovery_fuzz bench_churn_storm bench_scale_1m gryphon_report
+cmake --build --preset asan-ubsan -j "$(nproc)" --target test_chaos test_net test_wire gryphon_broker_cli bench_chaos_soak bench_wallclock bench_recovery_fuzz bench_churn_storm bench_scale_1m gryphon_report
 
 echo "== chaos test suite (asan-ubsan) =="
 ./build-asan/tests/test_chaos
+
+echo "== socket and wire suites (asan-ubsan) =="
+# Real sockets (reassembly, connection close paths, the forked broker smoke
+# topology) and the frame/payload codec, with the sanitizers watching.
+GRYPHON_BROKER_BIN=./build-asan/tools/gryphon_broker ./build-asan/tests/test_net
+./build-asan/tests/test_wire
 
 echo "== substrate smoke (asan-ubsan): bench_wallclock 1 seed =="
 ./build-asan/bench/bench_wallclock --smoke
