@@ -10,7 +10,10 @@
 //     ev/s input over 4 pubends, 400 subscribers) run for a fixed window of
 //     simulated time,
 //   * chaos_soak_seed1 — one seeded chaos schedule over the 5-broker soak
-//     topology (the workload tools/run_chaos.sh loops on).
+//     topology (the workload tools/run_chaos.sh loops on),
+//   * catchup_herd_5k — one bench_churn_storm wave: 5,000 subscribers drop
+//     and reconnect at once through a 256-wide admission gate, timed until
+//     the last catchup stream switches over.
 //
 // Reported per workload: simulated-events-per-wall-second (an "event" is one
 // executed simulator task), deliveries-per-wall-second, and heap
@@ -21,7 +24,8 @@
 //   bench_wallclock [--out FILE] [--check FILE] [--tolerance F]
 //                   [--reps N] [--smoke]
 //
-// --check compares this run's events/wall-second against the post_pr (or,
+// --check compares this run's events/wall-second (deliveries/wall-second for
+// the herd, whose cost is per catchup delivery) against the post_pr (or,
 // failing that, "run") variant recorded in FILE (tools/run_bench.sh points
 // it at the committed BENCH_substrate.json) and exits non-zero on a regression beyond
 // --tolerance (default 0.15). --smoke runs a single short chaos schedule
@@ -184,6 +188,51 @@ Measurement run_chaos_soak(std::uint64_t seed, double horizon_s) {
   return m;
 }
 
+/// One reconnect herd in bench_churn_storm's shape (no early release): 5,000
+/// durable subscribers on one SHB behind one intermediate drop at once, come
+/// back 4 s later through a 256-wide admission gate, and the window runs
+/// from the drop until no catchup stream is left.
+Measurement run_catchup_herd() {
+  harness::SystemConfig sc;
+  sc.num_pubends = 1;
+  sc.num_intermediates = 1;
+  sc.broker.cores = 32;
+  sc.shb_disk.read_seek_latency = usec(100);
+  sc.shb_disk.sync_latency = msec(1);
+  sc.broker.costs.catchup_admission_limit = 256;
+  sc.broker.costs.cache_span_ticks = 2000;
+  sc.broker.costs.catchup_rate_limit_eps = 5000.0;
+  sc.storage.segment_bytes = 64 * 1024;
+  harness::System system(sc);
+  harness::PaperWorkloadConfig wl;
+  wl.input_rate_eps = 200;
+  wl.groups = 100;
+  harness::start_paper_publishers(system, wl);
+  auto subs = harness::add_group_subscribers(system, 0, /*count=*/5000, wl.groups,
+                                             /*first_id=*/1, /*machines=*/10,
+                                             /*ack_interval=*/sec(1));
+  system.run_for(sec(2));
+
+  harness::StormDriver::Options so;
+  so.waves = 1;
+  so.wave_interval = msec(100);
+  so.down_time = sec(4);
+  harness::StormDriver storm(system, subs, so);
+  auto m = measure(system, [&] {
+    system.run_for(so.wave_interval + so.down_time + msec(100));
+    for (int i = 0; i < 600 && system.shb().catchup_stream_count() > 0; ++i) {
+      system.run_for(msec(100));
+    }
+  });
+  system.run_for(sec(5));
+  system.verify_quiescent();
+  WorkloadReport snapshot;
+  attach_registry_metrics(snapshot, system);
+  m.registry = std::move(snapshot.registry);
+  m.latency = latency_percentile_metrics(system.latency());
+  return m;
+}
+
 WorkloadReport to_report(const std::string& name, const Measurement& m) {
   WorkloadReport r;
   r.name = name;
@@ -247,17 +296,25 @@ int main(int argc, char** argv) {
   print_row({"workload", "sim_s", "wall_s", "tasks", "ev/wall-s", "deliv/wall-s",
              "allocs/ev"});
 
-  const auto run_chaos = [] { return run_chaos_soak(/*seed=*/1, /*horizon_s=*/8.0); };
-  const std::vector<std::pair<std::string, std::function<Measurement()>>> specs = {
-      {"fig4_steady_4shb", [] { return run_fig4_steady(harness::WireMode::kStruct); }},
+  struct Spec {
+    std::string name;
+    std::function<Measurement()> run;
+    const char* gated;  // the rate --check compares
+  };
+  const char* const kEventRate = "sim_events_per_wall_sec";
+  const std::vector<Spec> specs = {
+      {"fig4_steady_4shb", [] { return run_fig4_steady(harness::WireMode::kStruct); },
+       kEventRate},
       {"fig4_steady_4shb_codec",
-       [] { return run_fig4_steady(harness::WireMode::kCodec); }},
-      {"chaos_soak_seed1", run_chaos},
+       [] { return run_fig4_steady(harness::WireMode::kCodec); }, kEventRate},
+      {"chaos_soak_seed1", [] { return run_chaos_soak(/*seed=*/1, /*horizon_s=*/8.0); },
+       kEventRate},
+      {"catchup_herd_5k", run_catchup_herd, "deliveries_per_wall_sec"},
   };
 
   std::vector<WorkloadReport> reports;
   bool regression = false;
-  for (const auto& [name, run] : specs) {
+  for (const auto& [name, run, gated] : specs) {
     Measurement best;
     for (int r = 0; r < reps; ++r) {
       const Measurement m = run();
@@ -332,25 +389,21 @@ int main(int argc, char** argv) {
       // Prefer an explicitly tagged post_pr baseline; fall back to the
       // recorded "run" variant --out writes, so a plain re-recorded file
       // still arms the check instead of silently skipping every workload.
-      auto committed = read_bench_metric(check_path, name, "post_pr",
-                                         "sim_events_per_wall_sec");
-      if (!committed) {
-        committed = read_bench_metric(check_path, name, "run",
-                                      "sim_events_per_wall_sec");
-      }
+      auto committed = read_bench_metric(check_path, name, "post_pr", gated);
+      if (!committed) committed = read_bench_metric(check_path, name, "run", gated);
       if (!committed) {
         std::printf("  (no reference for %s in %s — skipping check)\n",
                     name.c_str(), check_path.c_str());
       } else {
         const double floor = *committed * (1.0 - tolerance);
-        const double got = reports.back().find("sim_events_per_wall_sec")->value;
+        const double got = reports.back().find(gated)->value;
         if (got < floor) {
-          std::printf("  REGRESSION: %s %.0f ev/wall-s < floor %.0f (committed %.0f, "
+          std::printf("  REGRESSION: %s %s %.0f < floor %.0f (committed %.0f, "
                       "tolerance %.0f%%)\n",
-                      name.c_str(), got, floor, *committed, 100 * tolerance);
+                      name.c_str(), gated, got, floor, *committed, 100 * tolerance);
           regression = true;
         } else {
-          std::printf("  check ok: %.0f ev/wall-s vs committed %.0f (floor %.0f)\n",
+          std::printf("  check ok: %s %.0f vs committed %.0f (floor %.0f)\n", gated,
                       got, *committed, floor);
         }
       }

@@ -51,8 +51,6 @@ SubscriberHostingBroker::SubscriberHostingBroker(NodeResources& resources,
   for (PubendId p : pubend_ids_) {
     PerPubend state;
     state.id = p;
-    state.shard_released_min.assign(sub_shards_.size(), kTickZero);
-    state.shard_released_dirty.assign(sub_shards_.size(), 1);
     state.g_latest_delivered =
         m.gauge("shb.p" + std::to_string(p.value()) + ".latest_delivered");
     pubends_.emplace(p, std::move(state));
@@ -140,13 +138,13 @@ SubscriberHostingBroker::SubscriberState& SubscriberHostingBroker::sub(Subscribe
   return *found;
 }
 
-void SubscriberHostingBroker::mark_released_dirty(SubscriberId s, PubendId p) {
-  per(p).shard_released_dirty[subscriber_shard(s, sub_shards_.size())] = 1;
-}
-
-void SubscriberHostingBroker::mark_released_dirty_all(SubscriberId s) {
-  const std::size_t k = subscriber_shard(s, sub_shards_.size());
-  for (auto& [p, state] : pubends_) state.shard_released_dirty[k] = 1;
+bool SubscriberHostingBroker::raise_released(SubscriberState& s, PubendId p, Tick t) {
+  auto r = s.released.find(p);
+  GRYPHON_CHECK(r != s.released.end());
+  if (t <= r->second) return false;
+  per(p).released.move(r->second, t);
+  r->second = t;
+  return true;
 }
 
 // --------------------------------------------------------------- lifecycle
@@ -197,6 +195,9 @@ void SubscriberHostingBroker::recover() {
     if (found == nullptr) continue;
     found->released[p] = decode_i64(value);
   }
+  for_each_sub([this](const SubscriberState& s) {
+    for (const auto& [p, t] : s.released) per(p).released.add(t);
+  });
 
   // Re-announce subscriptions upstream (idempotent) and resume the streams
   // from latestDelivered — everything after it is re-nacked (Fig. 7).
@@ -231,11 +232,14 @@ Tick SubscriberHostingBroker::latest_delivered(PubendId p) const {
   return per(p).latest_delivered;
 }
 
-Tick SubscriberHostingBroker::released(PubendId p) const { return computed_released(p); }
+Tick SubscriberHostingBroker::released(PubendId p) const {
+  const PerPubend& state = per(p);
+  return std::min(state.latest_delivered, state.released.min_or(kTickInfinity));
+}
 
 std::size_t SubscriberHostingBroker::catchup_stream_count() const {
   std::size_t n = 0;
-  for (const auto& [p, state] : pubends_) n += state.catchup_subs.size();
+  for (const auto& [p, state] : pubends_) n += state.catchup_delivered.size();
   return n;
 }
 
@@ -243,23 +247,21 @@ std::size_t SubscriberHostingBroker::connected_subscribers() const {
   return connected_.size();
 }
 
-Tick SubscriberHostingBroker::computed_released(PubendId p) const {
-  const PerPubend& state = per(p);
-  Tick rel = state.latest_delivered;
-  for (std::size_t k = 0; k < sub_shards_.size(); ++k) {
-    if (state.shard_released_dirty[k] != 0) {
-      Tick shard_min = kTickInfinity;
-      for (const auto& [sid, s] : sub_shards_[k]) {
-        auto it = s.released.find(p);
-        GRYPHON_CHECK(it != s.released.end());
-        shard_min = std::min(shard_min, it->second);
+Tick SubscriberHostingBroker::istream_origin(PubendId p) const {
+  return per(p).istream.origin();
+}
+
+std::vector<std::pair<SubscriberId, Tick>> SubscriberHostingBroker::catchup_positions(
+    PubendId p) const {
+  std::vector<std::pair<SubscriberId, Tick>> out;
+  for (const auto& shard : sub_shards_) {
+    for (const auto& [sid, s] : shard) {
+      if (auto it = s.catchup.find(p); it != s.catchup.end()) {
+        out.emplace_back(sid, it->second->delivered_upto);
       }
-      state.shard_released_min[k] = shard_min;
-      state.shard_released_dirty[k] = 0;
     }
-    rel = std::min(rel, state.shard_released_min[k]);
   }
-  return rel;
+  return out;
 }
 
 // ----------------------------------------------------------------- dispatch
@@ -403,10 +405,8 @@ void SubscriberHostingBroker::advance_constream(PubendId p) {
   // Trim the istream cache: nothing below what every consumer has passed is
   // needed for ordering, and only cache_span_ticks of history is kept for
   // serving catchup locally.
-  Tick min_keep = state.processed_upto;
-  for (SubscriberId sid : state.catchup_subs) {
-    min_keep = std::min(min_keep, sub(sid).catchup.at(p)->delivered_upto);
-  }
+  const Tick min_keep =
+      std::min(state.processed_upto, state.catchup_delivered.min_or(kTickInfinity));
   const Tick evict =
       std::min(min_keep, state.processed_upto - config_.costs.cache_span_ticks);
   if (evict > state.istream.origin()) state.istream.discard_upto(evict);
@@ -492,11 +492,7 @@ void SubscriberHostingBroker::on_jms_consumed(const JmsConsumedMsg& msg) {
         SubscriberState* found2 = try_sub(sid);
         if (found2 == nullptr) return;
         SubscriberState& s2 = *found2;
-        auto r = s2.released.find(p);
-        if (r != s2.released.end() && t > r->second) {
-          r->second = t;
-          mark_released_dirty(sid, p);
-        }
+        raise_released(s2, p, t);
         if (s2.session != session) return;  // reconnected meanwhile
         GRYPHON_CHECK(!s2.jms_queue.empty());
         s2.jms_queue.pop_front();
@@ -528,11 +524,11 @@ void SubscriberHostingBroker::on_connect(sim::EndpointId from, const ConnectMsg&
     // than its creation. A migrated one starts at its CT.
     for (PubendId p : pubend_ids_) {
       s.released[p] = migration ? msg.ct.of(p) : per(p).processed_upto;
+      per(p).released.add(s.released[p]);
     }
     hosted_.add(s.id, s.predicate);
     SubscriberState& stored =
         shard_map(s.id).emplace(s.id, std::move(s)).first->second;
-    mark_released_dirty_all(msg.subscriber);
     send(parent_, std::make_shared<SubscribeMsg>(msg.subscriber, msg.predicate_text));
 
     // The subscription must be durable before the client is told it exists.
@@ -645,13 +641,7 @@ void SubscriberHostingBroker::create_or_resume_session(SubscriberState& s,
     // (the subscriber consumed ticks the recovered broker has not yet
     // reprocessed) and must suppress redelivery up to the full CT.
     const Tick base = ct.of(p);
-    auto rel = s.released.find(p);
-    GRYPHON_CHECK(rel != s.released.end());
-    if (base > rel->second) {
-      rel->second = base;
-      dirty_released_.emplace(s.id, p);
-      mark_released_dirty(s.id, p);
-    }
+    if (raise_released(s, p, base)) dirty_released_.emplace(s.id, p);
     if (base >= state.processed_upto) {
       s.suppress_upto[p] = base;  // nothing missed: non-catchup from birth
     } else {
@@ -664,7 +654,7 @@ void SubscriberHostingBroker::create_or_resume_session(SubscriberState& s,
         }
       }
       s.catchup.emplace(p, std::move(cs));
-      state.catchup_subs.insert(s.id);
+      state.catchup_delivered.add(base);
       m_catchup_opened_->inc();
       any_catchup = true;
     }
@@ -735,7 +725,7 @@ void SubscriberHostingBroker::release_catchup_slot(CatchupStream& cs) {
 void SubscriberHostingBroker::release_all_catchup(SubscriberState& s) {
   for (auto& [p, cs] : s.catchup) {
     release_catchup_slot(*cs);
-    per(p).catchup_subs.erase(s.id);
+    per(p).catchup_delivered.remove(cs->delivered_upto);
   }
 }
 
@@ -785,14 +775,11 @@ void SubscriberHostingBroker::on_ack(const AckMsg& msg) {
   SubscriberState& s = *found;
   for (const auto& [p, t] : msg.ct.entries()) {
     if (!pubends_.contains(p)) continue;
-    auto r = s.released.find(p);
-    GRYPHON_CHECK(r != s.released.end());
-    if (t > r->second) {
-      res_.tracer.record_range(now(), p.value(), r->second + 1, t,
-                               TraceMilestone::kAck, s.id.value());
-      r->second = t;
+    const Tick before = s.released.at(p);
+    if (raise_released(s, p, t)) {
+      res_.tracer.record_range(now(), p.value(), before + 1, t, TraceMilestone::kAck,
+                               s.id.value());
       dirty_released_.emplace(s.id, p);
-      mark_released_dirty(s.id, p);
     }
   }
 }
@@ -800,6 +787,7 @@ void SubscriberHostingBroker::on_ack(const AckMsg& msg) {
 void SubscriberHostingBroker::on_unsubscribe_req(const UnsubscribeReqMsg& msg) {
   SubscriberState* found = try_sub(msg.subscriber);
   if (found == nullptr) return;
+  SubscriberState& s = *found;
   hosted_.remove(msg.subscriber);
   pending_setups_.erase(msg.subscriber);
   std::vector<storage::Database::Put> puts;
@@ -808,14 +796,25 @@ void SubscriberHostingBroker::on_unsubscribe_req(const UnsubscribeReqMsg& msg) {
     puts.push_back({kReleasedTable, rel_key(msg.subscriber, p), {}});
   }
   res_.database.commit(0, std::move(puts));
-  release_all_catchup(*found);
+  // End the session before freeing its catchup slots, as a disconnect does:
+  // the freed slot must not admit this subscriber's own queued stream on
+  // another pubend.
+  s.connected = false;
   connected_.erase(msg.subscriber);
+  ++s.session;
+  release_all_catchup(s);
+  for (const auto& [p, t] : s.released) per(p).released.remove(t);
   shard_map(msg.subscriber).erase(msg.subscriber);
-  mark_released_dirty_all(msg.subscriber);
   send(parent_, std::make_shared<UnsubscribeMsg>(msg.subscriber));
 }
 
 // ------------------------------------------------------------------ catchup
+
+void SubscriberHostingBroker::add_outstanding(SubscriberState& s, CatchupStream& cs,
+                                              PubendId p, const TickRange& r) {
+  cs.outstanding.add(r);
+  per(p).awaiting.insert(s.id);
+}
 
 void SubscriberHostingBroker::issue_pfs_read(SubscriberState& s, PubendId p) {
   auto cit = s.catchup.find(p);
@@ -855,7 +854,7 @@ void SubscriberHostingBroker::issue_pfs_read(SubscriberState& s, PubendId p) {
         if (result.complete_from > from_at_issue) {
           auto remaining = fill_catchup_from_istream(
               s2, cs2, per(p), from_at_issue + 1, result.complete_from);
-          for (const TickRange& r : remaining) cs2.outstanding.add(r);
+          for (const TickRange& r : remaining) add_outstanding(s2, cs2, p, r);
           consolidate_nack(p, per(p), remaining);
           schedule_catchup_nack_retry(s2, p);
         }
@@ -1109,7 +1108,7 @@ void SubscriberHostingBroker::pump_catchup_nacks(SubscriberState& s, PubendId p)
       for (const TickRange& r :
            fill_catchup_from_istream(s, cs, state, cs.scan_cursor + 1, to,
                                      cs.distrust_upto)) {
-        cs.outstanding.add(r);
+        add_outstanding(s, cs, p, r);
         to_request.add(r);
       }
       cs.scan_cursor = to;
@@ -1118,7 +1117,7 @@ void SubscriberHostingBroker::pump_catchup_nacks(SubscriberState& s, PubendId p)
       // Straight to the pubend: intermediate caches may hold silence that
       // predates this subscriber's filter.
       ++stats_.nacks_sent_upstream;
-    m_nacks_upstream_->inc();
+      m_nacks_upstream_->inc();
       send(parent_, std::make_shared<NackMsg>(p, to_request.ranges(),
                                               /*authoritative=*/true));
       schedule_catchup_nack_retry(s, p);
@@ -1160,7 +1159,7 @@ void SubscriberHostingBroker::pump_catchup_nacks(SubscriberState& s, PubendId p)
         }
         ++served;
         ++stats_.catchup_events_served_from_istream;
-          m_catchup_istream_serves_->inc();
+        m_catchup_istream_serves_->inc();
         break;
       }
       case routing::TickValue::kS:
@@ -1170,7 +1169,7 @@ void SubscriberHostingBroker::pump_catchup_nacks(SubscriberState& s, PubendId p)
         cs.map.set_lost(t, t);
         break;
       case routing::TickValue::kQ:
-        cs.outstanding.add(t, t);
+        add_outstanding(s, cs, p, {t, t});
         to_request.add(t, t);
         break;
     }
@@ -1205,18 +1204,30 @@ void SubscriberHostingBroker::pump_catchup_nacks(SubscriberState& s, PubendId p)
 
 void SubscriberHostingBroker::route_to_catchup_streams(
     PubendId p, const std::vector<routing::KnowledgeItem>& items) {
-  // Copy the registry first: advance_catchup can erase streams (switchover),
-  // which mutates catchup_subs under us.
-  const PerPubend& state = per(p);
-  const std::vector<SubscriberId> with_catchup(state.catchup_subs.begin(),
-                                               state.catchup_subs.end());
-  for (SubscriberId sid : with_catchup) {
+  // Only streams with outstanding nacks can take a response, so the walk
+  // covers the awaiting set, not every catchup stream. It is live and in id
+  // order: a body can switch streams over or admit queued ones (which may
+  // join the set), so each step re-seeks past the id it just visited.
+  std::set<SubscriberId>& awaiting = per(p).awaiting;
+  const auto awaiting_stream = [p](SubscriberState* s) -> CatchupStream* {
+    if (s == nullptr) return nullptr;
+    auto cit = s->catchup.find(p);
+    if (cit == s->catchup.end() || cit->second->outstanding.empty()) return nullptr;
+    return cit->second.get();
+  };
+  std::uint64_t visits = 0;
+  auto it = awaiting.begin();
+  while (it != awaiting.end()) {
+    const SubscriberId sid = *it;
+    ++visits;
     SubscriberState* found = try_sub(sid);
-    if (found == nullptr) continue;
+    CatchupStream* stream = awaiting_stream(found);
+    if (stream == nullptr) {
+      it = awaiting.erase(it);  // stale entry: prune
+      continue;
+    }
     SubscriberState& s = *found;
-    auto cit = s.catchup.find(p);
-    if (cit == s.catchup.end()) continue;
-    CatchupStream& cs = *cit->second;
+    CatchupStream& cs = *stream;
 
     bool touched = false;
     for (const auto& item : items) {
@@ -1256,8 +1267,12 @@ void SubscriberHostingBroker::route_to_catchup_streams(
     if (touched) {
       pump_catchup_nacks(s, p);
       advance_catchup(s, p);
+      if (awaiting_stream(found) == nullptr) awaiting.erase(sid);  // all answered
     }
+    it = awaiting.upper_bound(sid);
   }
+  stats_.catchup_route_visits += visits;
+  stats_.catchup_route_visits_peak = std::max(stats_.catchup_route_visits_peak, visits);
 }
 
 void SubscriberHostingBroker::advance_catchup(SubscriberState& s, PubendId p) {
@@ -1289,6 +1304,7 @@ void SubscriberHostingBroker::advance_catchup(SubscriberState& s, PubendId p) {
         batch.push_back({OutMsg::Kind::kGap, item.range.to, item.range, nullptr});
       }
     }
+    state.catchup_delivered.move(cs.delivered_upto, dh);
     cs.delivered_upto = dh;
     if (n_events > 0 || !batch.empty()) {
       cs.last_silence = dh;
@@ -1380,8 +1396,8 @@ void SubscriberHostingBroker::maybe_switchover(SubscriberState& s, PubendId p) {
                      TraceMilestone::kCatchupCaughtUp, s.id.value());
   s.suppress_upto[p] = state.processed_upto;
   release_catchup_slot(cs);
+  state.catchup_delivered.remove(cs.delivered_upto);
   s.catchup.erase(cit);
-  state.catchup_subs.erase(s.id);
   m_catchup_closed_->inc();
   m_switchovers_->inc();
 
@@ -1438,7 +1454,7 @@ void SubscriberHostingBroker::nack_istream_gaps() {
 
 void SubscriberHostingBroker::send_release_updates() {
   for (auto& [p, state] : pubends_) {
-    const Tick rel = computed_released(p);
+    const Tick rel = released(p);
     send(parent_, std::make_shared<ReleaseUpdateMsg>(p, rel, state.latest_delivered));
     // Filtering records below released(p) can never be read again.
     pfs_.chop_upto(p, rel);
@@ -1481,14 +1497,17 @@ void SubscriberHostingBroker::silence_sweep() {
       if (s.jms_auto_ack) {
         // The SHB owns a JMS subscriber's CT: with no deliveries pending,
         // everything up to the constream position is implicitly consumed.
-        if (s.jms_queue.empty() && !s.jms_commit_inflight) {
-          auto r = s.released.find(p);
-          if (r != s.released.end() && upto > r->second) {
-            r->second = upto;
-            dirty_released_.emplace(sid, p);
-            mark_released_dirty(sid, p);
+        // Decided behind the CPU queue: an event send still queued there
+        // (a constream batch, a switchover bridge) is a pending delivery
+        // at or below `upto` that released(s,p) must not pass.
+        cpu_then(0, [this, sid2 = sid, session = s.session, p, upto] {
+          SubscriberState* found = try_sub(sid2);
+          if (found == nullptr || !found->connected || found->session != session) return;
+          if (found->jms_queue.empty() && !found->jms_commit_inflight &&
+              raise_released(*found, p, upto)) {
+            dirty_released_.emplace(sid2, p);
           }
-        }
+        });
         continue;
       }
       // Through the CPU queue so a silence cannot overtake deferred event

@@ -62,6 +62,13 @@ class SubscriberHostingBroker final : public Broker {
   [[nodiscard]] std::size_t catchup_active_count() const { return catchup_active_; }
   [[nodiscard]] std::size_t catchup_queue_depth() const { return catchup_queued_; }
   [[nodiscard]] PersistentFilteringSubsystem& pfs() { return pfs_; }
+  /// Lowest tick still held by the istream cache for pubend p.
+  [[nodiscard]] Tick istream_origin(PubendId p) const;
+  /// (subscriber, delivered_upto) of every open catchup stream for pubend p,
+  /// gathered by walking the whole session table (a test oracle for the
+  /// indexed trim low-water mark, not a hot-path accessor).
+  [[nodiscard]] std::vector<std::pair<SubscriberId, Tick>> catchup_positions(
+      PubendId p) const;
 
   struct Stats {
     std::uint64_t constream_deliveries = 0;
@@ -72,6 +79,12 @@ class SubscriberHostingBroker final : public Broker {
     std::uint64_t catchup_completions = 0;
     std::uint64_t nacks_sent_upstream = 0;
     std::uint64_t catchup_events_served_from_istream = 0;
+    /// Catchup streams probed while routing stream data, in total and at
+    /// most for one message. Only admitted streams await nack responses, so
+    /// the peak stays within catchup_admission_limit however many sessions
+    /// are hosted or queued.
+    std::uint64_t catchup_route_visits = 0;
+    std::uint64_t catchup_route_visits_peak = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -143,6 +156,40 @@ class SubscriberHostingBroker final : public Broker {
     bool jms_commit_inflight = false;
   };
 
+  /// A multiset of ticks kept as tick -> count: O(log n) add/remove and an
+  /// O(1) minimum, so a low-water mark over many streams or sessions is
+  /// maintained at each write instead of rescanned at each read.
+  class TickCounts {
+   public:
+    void add(Tick t) {
+      ++counts_[t];
+      ++size_;
+    }
+    void remove(Tick t) {
+      auto it = counts_.find(t);
+      GRYPHON_CHECK(it != counts_.end());
+      if (--it->second == 0) counts_.erase(it);
+      --size_;
+    }
+    void move(Tick from, Tick to) {
+      remove(from);
+      add(to);
+    }
+    /// Smallest member, or `empty_value` when there is none.
+    [[nodiscard]] Tick min_or(Tick empty_value) const {
+      return counts_.empty() ? empty_value : counts_.begin()->first;
+    }
+    [[nodiscard]] std::size_t size() const { return size_; }
+
+   private:
+    std::map<Tick, std::size_t> counts_;
+    std::size_t size_ = 0;
+  };
+
+  /// Per-pubend state. Everything the SHB does per stream-data message or
+  /// per ack is proportional to the streams involved (DESIGN.md §4.6): the
+  /// three indexes below stand in for scans of the catching-up or hosted
+  /// population.
   struct PerPubend {
     PubendId id{};
     routing::TickMap istream{kTickZero};
@@ -150,15 +197,17 @@ class SubscriberHostingBroker final : public Broker {
     Tick processed_upto = kTickZero;    // constream has matched/PFS'd/enqueued
     Tick latest_delivered = kTickZero;  // min(processed, PFS-durable); persisted
     std::deque<Tick> pending_pfs;       // PFS'd ticks awaiting durability
-    /// Subscribers with an open catchup stream for this pubend; lets the
-    /// constream trim / knowledge routing touch only catching-up sessions
-    /// instead of scanning the whole hosted population.
-    std::set<SubscriberId> catchup_subs;
-    /// Per-shard cached min released(s,p) (DESIGN.md §4.8): computed_released
-    /// recomputes only shards whose membership or released values changed, so
-    /// the periodic release sweep is O(dirty shard) not O(population).
-    mutable std::vector<Tick> shard_released_min;
-    mutable std::vector<std::uint8_t> shard_released_dirty;
+    /// delivered_upto of every open catchup stream: the istream trim's
+    /// low-water mark, and (by size) the open stream count.
+    TickCounts catchup_delivered;
+    /// Subscribers whose stream may have outstanding nacks: a superset of
+    /// the streams with a non-empty `outstanding`, joined wherever ticks are
+    /// added to it and pruned when a routing visit finds none left.
+    /// Knowledge routing walks only these.
+    std::set<SubscriberId> awaiting;
+    /// released(s,p) of every hosted subscription; released(p) is its
+    /// minimum capped at latest_delivered.
+    TickCounts released;
     /// Istream nack-retry backoff (mirrors CatchupStream's trio).
     std::uint32_t nack_attempt = 0;
     std::uint64_t nack_progress = 0;
@@ -182,8 +231,9 @@ class SubscriberHostingBroker final : public Broker {
       for (auto& [sid, s] : shard) f(s);
     }
   }
-  void mark_released_dirty(SubscriberId s, PubendId p);
-  void mark_released_dirty_all(SubscriberId s);
+  /// Moves released(s,p) forward to t (no-op unless t is newer), keeping
+  /// the pubend's released index exact. Returns whether it moved.
+  bool raise_released(SubscriberState& s, PubendId p, Tick t);
 
   // message handlers
   void on_stream_data(const StreamDataMsg& msg);
@@ -221,6 +271,10 @@ class SubscriberHostingBroker final : public Broker {
                                 const CheckpointToken& ct, bool send_initial_ct,
                                 bool refilter_catchup = false,
                                 const std::map<PubendId, Tick>* distrust = nullptr);
+  /// Adds ticks to a stream's outstanding nacks (and the stream to the
+  /// pubend's awaiting set).
+  void add_outstanding(SubscriberState& s, CatchupStream& cs, PubendId p,
+                       const TickRange& r);
   void issue_pfs_read(SubscriberState& s, PubendId p);
   void pump_catchup_nacks(SubscriberState& s, PubendId p);
   /// Fills [from, to] of the catchup map from the istream cache; returns the
@@ -242,6 +296,7 @@ class SubscriberHostingBroker final : public Broker {
   void admit_or_queue_catchup(SubscriberState& s, PubendId p);
   void activate_catchup(SubscriberState& s, PubendId p);
   void release_catchup_slot(CatchupStream& cs);
+  /// Frees the admission slots and index entries of all of s's streams.
   void release_all_catchup(SubscriberState& s);
   void drain_admission_queue();
 
@@ -258,8 +313,6 @@ class SubscriberHostingBroker final : public Broker {
   void send_release_updates();
   void commit_dirty_state();
   void silence_sweep();
-
-  [[nodiscard]] Tick computed_released(PubendId p) const;
 
   sim::EndpointId parent_ = 0;
   std::vector<PubendId> pubend_ids_;

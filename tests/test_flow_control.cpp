@@ -168,5 +168,81 @@ TEST(FlowControl, NackWindowCapsOutstandingCuriosity) {
   system.verify_exactly_once();
 }
 
+// --------------------------------------------------- catchup admission gate
+
+std::uint64_t shb_counter(System& system, const char* name) {
+  return system.shb_node(0).metrics.counter(name)->get();
+}
+
+TEST(FlowControl, UnsubscribeNeverAdmitsItsOwnQueuedStream) {
+  // One admission slot, two pubends: a reconnecting subscriber's stream on
+  // one pubend is admitted while its stream on the other waits in the queue.
+  SystemConfig config;
+  config.num_pubends = 2;
+  config.broker.costs.catchup_admission_limit = 1;
+  config.broker.costs.catchup_rate_limit_eps = 20.0;  // a long catchup
+  System system(config);
+  harness::PaperWorkloadConfig wl;
+  wl.input_rate_eps = 200;
+  harness::start_paper_publishers(system, wl);
+  auto subs = harness::add_group_subscribers(system, 0, 1, 4, 1);
+  system.run_for(sec(2));
+  subs[0]->disconnect();
+  system.run_for(sec(6));
+  subs[0]->connect();
+  system.run_for(msec(300));
+  ASSERT_EQ(system.shb().catchup_active_count(), 1u);
+  ASSERT_EQ(system.shb().catchup_queue_depth(), 1u);
+
+  // Unsubscribing frees the active slot; the queued stream belongs to the
+  // subscription being deleted and must not be admitted into it.
+  const auto admitted = shb_counter(system, "shb.catchup_admitted");
+  const auto reads = shb_counter(system, "pfs.reads_issued");
+  subs[0]->unsubscribe();
+  system.run_for(sec(2));
+  EXPECT_EQ(shb_counter(system, "shb.catchup_admitted"), admitted);
+  EXPECT_EQ(shb_counter(system, "pfs.reads_issued"), reads);
+  EXPECT_EQ(system.shb().catchup_stream_count(), 0u);
+  EXPECT_EQ(system.shb().catchup_active_count(), 0u);
+  EXPECT_EQ(system.shb().catchup_queue_depth(), 0u);
+}
+
+TEST(FlowControl, HerdRoutingVisitsOnlyAwaitingStreams) {
+  // A few hundred subscribers reconnect at once through an 8-wide gate.
+  // Routing stream data to catchup streams may only probe streams awaiting
+  // nack responses, and only admitted streams can await any: a return to
+  // scanning every catching-up session would probe hundreds per message.
+  constexpr std::size_t kLimit = 8;
+  SystemConfig config;
+  config.num_pubends = 1;
+  config.num_intermediates = 1;
+  config.broker.cores = 32;
+  config.shb_disk.read_seek_latency = usec(100);
+  config.broker.costs.catchup_admission_limit = kLimit;
+  config.broker.costs.cache_span_ticks = 500;  // most catchup nacks upstream
+  config.broker.costs.catchup_rate_limit_eps = 5000.0;
+  System system(config);
+  harness::PaperWorkloadConfig wl;
+  wl.input_rate_eps = 200;
+  harness::start_paper_publishers(system, wl);
+  auto subs = harness::add_group_subscribers(system, 0, 300, 4, 1, /*machines=*/4,
+                                             /*ack_interval=*/sec(1));
+  system.run_for(sec(2));
+
+  harness::StormDriver::Options so;
+  so.waves = 1;
+  so.wave_interval = sec(1);
+  so.down_time = sec(3);
+  harness::StormDriver storm(system, subs, so);
+  system.run_for(sec(30));
+  system.verify_quiescent();
+
+  EXPECT_EQ(storm.reconnects(), subs.size());
+  EXPECT_GT(shb_counter(system, "shb.catchup_queued"), 200u);  // a real herd
+  const auto& stats = system.shb().stats();
+  EXPECT_GT(stats.catchup_route_visits, 0u);
+  EXPECT_LE(stats.catchup_route_visits_peak, kLimit);
+}
+
 }  // namespace
 }  // namespace gryphon

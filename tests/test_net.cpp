@@ -30,7 +30,7 @@ namespace {
 
 std::vector<std::byte> bytes_of(const std::string& s) {
   std::vector<std::byte> out(s.size());
-  std::memcpy(out.data(), s.data(), s.size());
+  if (!s.empty()) std::memcpy(out.data(), s.data(), s.size());  // data() may be null
   return out;
 }
 

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Substrate wall-clock regression gate: builds the Release preset, runs
-# bench_wallclock, and compares simulated-events-per-wall-second against the
-# post_pr numbers committed in BENCH_substrate.json. Exits non-zero when any
-# workload regresses by more than the tolerance (default 15%).
+# bench_wallclock, and compares simulated-events-per-wall-second (for the
+# 5,000-subscriber reconnect herd, catchup_herd_5k: deliveries per
+# wall-second) against the post_pr numbers committed in BENCH_substrate.json.
+# Exits non-zero when any workload regresses by more than the tolerance
+# (default 15%).
 #
 # Usage: tools/run_bench.sh [tolerance] [reps]
 #
