@@ -1,301 +1,395 @@
-// Real-socket vs simulated throughput on the same workload.
+// The real runtime under a paced open-loop load, measured on the machine.
 //
-// The stand-alone runtime (src/net) hosts the exact broker state machines
-// the simulator runs, so the same delivery workload can be timed both ways:
+// One EventLoop hosts four net::BrokerProcess roles — PHB <- SHB brokers on
+// FileDisk WALs, one publisher, one match-all durable subscriber — wired
+// by loopback TCP sockets, exactly the stand-alone runtime gryphon_broker
+// runs. Every publish is acked only after the PHB's fdatasync returned, so
+// the numbers include a real barrier per event (or per group commit).
 //
-//   * real    — one OS process, four threads, each thread an EventLoop +
-//               BrokerProcess (PHB <- SHB brokers, one publisher, one
-//               durable subscriber), every hop a real loopback TCP socket
-//               with codec frames, FileBackend WALs under a temp dir.
-//   * sim     — the harness System on the same PHB <- SHB topology with
-//               paper publishers and one match-everything subscriber,
-//               driven as fast as the simulator can execute.
+// The publisher runs open loop at --rate events/s, each event due at a
+// seeded point of its own slot; latency runs from that due time to the
+// subscriber's delivery, so a stall also charges the events queued behind
+// it. Each rep builds a fresh topology over a fresh directory.
 //
-// Both legs run until N events are delivered exactly-once; the report is
-// wall-clock events/second for each, plus the ratio. The real leg also
-// asserts the demo oracle (received == published, zero gaps, zero decode /
-// reassembly rejects) — a bench run that loses an event is a failure, not a
-// data point.
+// Reported, over all reps:
+//   * exactly-once: every event delivered once, in order, no gap, no
+//     frame rejects — a run that breaks it is a failure, not a data point;
+//   * e2e p50/p99 with the sample count;
+//   * fsyncs per second and bytes per fsync (fdatasync + directory fsync
+//     calls of both brokers' syncer threads);
+//   * CPU per event of the loop thread and of the syncer threads, apart.
 //
-//   bench_sockets [--events N] [--out FILE] [--smoke]
-#include "bench/bench_common.hpp"
-
-#include <atomic>
+// Closed-loop saturation is out of scope: core::Publisher has no unacked
+// window yet, so an unpaced publisher measures its own retry storm.
+//
+//   bench_sockets [--events N] [--rate EPS] [--reps R] [--out FILE]
+//                 [--check FILE] [--smoke]
+//
+// --check FILE gates this run against a committed artifact: the committed
+// file must record an exactly-once run, and this run must be exactly-once
+// with e2e p99 at or under the file's gate_e2e_p99_ms.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <future>
+#include <map>
+#include <memory>
+#include <sstream>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include <unistd.h>
 
+#include "core/client_observer.hpp"
 #include "net/broker_process.hpp"
 #include "net/event_loop.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 
 namespace gryphon::bench {
 namespace {
 
 namespace fs = std::filesystem;
 
-double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+constexpr std::size_t kPayloadBytes = 64;
+constexpr int kGroups = 4;
+/// The --check ceiling recorded with every run. The 2003 cost model this
+/// runtime used to wait out put p50 alone at ~11 ms.
+constexpr double kGateP99Ms = 10.0;
+
+std::int64_t now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-struct RealLeg {
-  bool completed = false;
-  double wall_s = 0;
-  std::uint64_t received = 0;
-  std::uint64_t gaps = 0;
-  std::uint64_t decode_rejects = 0;
-  std::uint64_t reassembly_rejects = 0;
-};
-
-/// Runs a role to completion on its own thread: construct, publish the bound
-/// port, then spin the loop until the stop flag (brokers) or the client
-/// workload finishes. `on_exit` samples the process before teardown.
-void run_role(net::ProcessOptions opt, std::atomic<bool>& stop,
-              std::promise<std::uint16_t>* port_out, SimDuration run_cap,
-              std::function<void(net::BrokerProcess&)> on_exit,
-              std::promise<void>* started_out = nullptr) {
-  net::EventLoop loop;
-  net::BrokerProcess proc(loop, std::move(opt));
-  if (port_out != nullptr) port_out->set_value(proc.port());
-  std::function<void()> poll_started = [&] {
-    if (proc.started()) {
-      started_out->set_value();
-      return;
-    }
-    loop.schedule_after(msec(5), [&] { poll_started(); });
-  };
-  if (started_out != nullptr) poll_started();
-  std::function<void()> watch = [&] {
-    if (stop.load(std::memory_order_relaxed)) {
-      loop.stop();
-      return;
-    }
-    loop.schedule_after(msec(10), [&] { watch(); });
-  };
-  watch();
-  loop.run_for(run_cap);
-  if (on_exit) on_exit(proc);
+matching::EventDataPtr make_event(std::uint64_t seq) {
+  matching::EventData::AttributeList attrs;
+  attrs.emplace_back("g", matching::Value(static_cast<std::int64_t>(seq % kGroups)));
+  attrs.emplace_back("seq", matching::Value(static_cast<std::int64_t>(seq)));
+  return std::make_shared<matching::EventData>(std::move(attrs), std::string{},
+                                               kPayloadBytes);
 }
 
-RealLeg run_real(std::uint64_t events, std::size_t payload_bytes) {
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("gryphon_bench_sockets." + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  fs::create_directories(dir / "phb");
-  fs::create_directories(dir / "shb");
+/// Subscriber side: latency per event and the exactly-once checks.
+class Tap final : public core::SubscriberObserver {
+ public:
+  Tap(const std::vector<std::int64_t>& due_ns, std::vector<double>& latencies_ms)
+      : due_ns_(due_ns), latencies_ms_(latencies_ms) {}
 
-  std::atomic<bool> stop{false};
-  std::promise<std::uint16_t> phb_port_p, shb_port_p;
-  auto phb_port_f = phb_port_p.get_future();
-  auto shb_port_f = shb_port_p.get_future();
-  const SimDuration cap = sec(120);
+  void on_event(SubscriberId, PubendId, Tick, const matching::EventDataPtr& event, bool,
+                SimTime) override {
+    const matching::Value* v = event->attribute("seq");
+    const auto seq = v != nullptr ? static_cast<std::uint64_t>(v->as_double()) : 0;
+    if (seq == 0 || seq > due_ns_.size() || seq < next_) {
+      ++duplicates;
+      return;
+    }
+    missing += seq - next_;
+    next_ = seq + 1;
+    ++delivered;
+    latencies_ms_.push_back(static_cast<double>(now_ns() - due_ns_[seq - 1]) / 1e6);
+  }
+  void on_gap(SubscriberId, PubendId, TickRange, SimTime) override { ++gaps; }
 
-  std::thread phb_thread([&] {
-    net::ProcessOptions o;
-    o.name = "phb";
-    o.role = "phb";
-    o.expected_children = 1;
-    o.storage.file_dir = (dir / "phb").string();
-    run_role(std::move(o), stop, &phb_port_p, cap, nullptr);
-  });
-  const std::uint16_t phb_port = phb_port_f.get();
-
-  std::thread shb_thread([&] {
-    net::ProcessOptions o;
-    o.name = "shb0";
-    o.role = "shb";
-    o.parent_port = phb_port;
-    o.storage.file_dir = (dir / "shb").string();
-    run_role(std::move(o), stop, &shb_port_p, cap, nullptr);
-  });
-  const std::uint16_t shb_port = shb_port_f.get();
-
-  // Clock starts as the clients launch: it covers the hello/READY handshake
-  // (a few round trips) plus the full publish -> persist -> deliver stream.
-  RealLeg leg;
-  bool pub_done = false;
-  std::promise<void> sub_started_p;
-  auto sub_started_f = sub_started_p.get_future();
-  std::thread sub_thread([&] {
-    net::ProcessOptions o;
-    o.name = "sub1";
-    o.role = "sub";
-    o.parent_port = shb_port;
-    o.expect_events = events;
-    run_role(
-        std::move(o), stop, nullptr, cap,
-        [&](net::BrokerProcess& p) {
-          leg.completed = p.done();
-          leg.received = p.subscriber()->events_received();
-          leg.gaps = p.subscriber()->gaps_received();
-          leg.decode_rejects = p.network().decode_rejects();
-          leg.reassembly_rejects = p.reassembly_rejects();
-        },
-        &sub_started_p);
-  });
-  // A durable subscription covers ticks from its establishment onward, so
-  // the first publish must land after the subscribe round trip — wait for
-  // the subscriber to start, plus a margin for the subscribe to settle.
-  sub_started_f.wait_for(std::chrono::seconds(30));
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  // Clock covers the measured stream only: publish -> persist -> deliver.
-  const auto t0 = std::chrono::steady_clock::now();
-  std::thread pub_thread([&] {
-    net::ProcessOptions o;
-    o.name = "pub1";
-    o.role = "pub";
-    o.parent_port = phb_port;
-    o.publish_count = events;
-    o.publish_interval = msec(1);
-    o.publish_burst = 16;
-    o.payload_bytes = payload_bytes;
-    run_role(std::move(o), stop, nullptr, cap,
-             [&](net::BrokerProcess& p) { pub_done = p.done(); });
-  });
-
-  pub_thread.join();
-  sub_thread.join();
-  leg.wall_s = wall_seconds_since(t0);
-  leg.completed = leg.completed && pub_done;
-  stop.store(true, std::memory_order_relaxed);
-  phb_thread.join();
-  shb_thread.join();
-  fs::remove_all(dir);
-  return leg;
-}
-
-struct SimLeg {
-  double wall_s = 0;
-  double sim_s = 0;
   std::uint64_t delivered = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t missing = 0;
+  std::uint64_t gaps = 0;
+
+ private:
+  const std::vector<std::int64_t>& due_ns_;
+  std::vector<double>& latencies_ms_;
+  std::uint64_t next_ = 1;
 };
 
-SimLeg run_sim(std::uint64_t events, std::size_t payload_bytes) {
-  harness::SystemConfig config;
-  config.num_shbs = 1;
-  config.num_intermediates = 0;
-  harness::System system(config);
-  harness::PaperWorkloadConfig wl;
-  wl.input_rate_eps = 8000;
-  wl.groups = 1;  // the single subscriber matches every event
-  wl.payload_bytes = payload_bytes;
-  harness::start_paper_publishers(system, wl);
-  harness::add_group_subscribers(system, 0, 1, 1, 1);
+struct Totals {
+  std::uint64_t events = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t missing = 0;
+  std::uint64_t gaps = 0;
+  std::uint64_t rejects = 0;
+  bool completed = true;
+  double wall_s = 0;
+  double loop_cpu_s = 0;
+  double syncer_cpu_s = 0;
+  double syncs = 0;
+  double synced_bytes = 0;
+  std::vector<double> latencies_ms;
 
-  SimLeg leg;
-  const SimTime sim0 = system.simulator().now();
-  const auto t0 = std::chrono::steady_clock::now();
-  while (system.oracle().delivered_count() < events) {
-    system.run_for(msec(100));
+  [[nodiscard]] bool exactly_once() const {
+    return completed && delivered == events && duplicates == 0 && missing == 0 &&
+           gaps == 0 && rejects == 0;
   }
-  leg.wall_s = wall_seconds_since(t0);
-  leg.sim_s = to_seconds(system.simulator().now() - sim0);
-  leg.delivered = system.oracle().delivered_count();
-  return leg;
+};
+
+/// Ticks the loop until `done` holds; false after `timeout_s`.
+template <typename Done>
+bool run_until(net::EventLoop& loop, Done done, double timeout_s) {
+  const std::int64_t deadline = now_ns() + static_cast<std::int64_t>(timeout_s * 1e9);
+  while (!done()) {
+    if (now_ns() > deadline) return false;
+    loop.tick(msec(5));
+  }
+  return true;
 }
 
-int run(std::uint64_t events, std::size_t payload_bytes, const std::string& out) {
-  print_header("bench_sockets: real loopback TCP vs simulation, " +
-               std::to_string(events) + " events");
+void run_rep(std::uint64_t seed, std::uint64_t events, double rate_eps, const fs::path& dir,
+             Totals& t) {
+  fs::remove_all(dir);
+  Rng rng(seed);
+  const double slot_ns = 1e9 / rate_eps;
+  std::vector<std::int64_t> due_ns(events);
+  for (std::uint64_t i = 0; i < events; ++i) {
+    due_ns[i] = static_cast<std::int64_t>((static_cast<double>(i) + rng.next_double()) * slot_ns);
+  }
+  Tap tap(due_ns, t.latencies_ms);
+  t.events += events;
 
-  const RealLeg real = run_real(events, payload_bytes);
-  std::printf("real: %s in %.3fs (%.0f ev/s), gaps=%llu rejects=%llu/%llu\n",
-              real.completed ? "completed" : "INCOMPLETE", real.wall_s,
-              static_cast<double>(real.received) / real.wall_s,
-              static_cast<unsigned long long>(real.gaps),
-              static_cast<unsigned long long>(real.decode_rejects),
-              static_cast<unsigned long long>(real.reassembly_rejects));
-  if (!real.completed || real.received != events || real.gaps != 0 ||
-      real.decode_rejects != 0 || real.reassembly_rejects != 0) {
-    std::fprintf(stderr, "FAIL: the socket leg broke the exactly-once oracle\n");
-    return 1;
+  net::EventLoop loop;
+  std::map<std::string, std::unique_ptr<net::BrokerProcess>> roles;
+  auto start = [&](net::ProcessOptions o) -> net::BrokerProcess& {
+    auto& slot = roles[o.name];
+    slot = std::make_unique<net::BrokerProcess>(loop, std::move(o));
+    return *slot;
+  };
+
+  net::ProcessOptions phb;
+  phb.name = "phb";
+  phb.role = "phb";
+  phb.expected_children = 1;
+  phb.storage.file_dir = (dir / "phb").string();
+  const std::uint16_t phb_port = start(phb).port();
+
+  net::ProcessOptions shb;
+  shb.name = "shb0";
+  shb.role = "shb";
+  shb.parent_port = phb_port;
+  shb.storage.file_dir = (dir / "shb").string();
+  const std::uint16_t shb_port = start(shb).port();
+
+  net::ProcessOptions sub;
+  sub.name = "sub1";
+  sub.role = "sub";
+  sub.parent_port = shb_port;
+  sub.observer = &tap;
+  net::BrokerProcess& subscriber = start(sub);
+
+  net::ProcessOptions pub;
+  pub.name = "pub1";
+  pub.role = "pub";
+  pub.parent_port = phb_port;
+  pub.publish_burst = 0;             // the paced generator below publishes
+  pub.publish_interval = sec(3600);  // keeps the built-in pump idle
+  // A durable subscription covers ticks from its establishment onward, so
+  // the publisher joins only once the subscriber is in.
+  bool booted = run_until(loop, [&] { return subscriber.subscriber()->connected(); }, 30);
+  net::BrokerProcess& publisher = start(pub);
+  booted = booted && run_until(loop, [&] { return publisher.started(); }, 30);
+  if (!booted) {
+    std::fprintf(stderr, "the topology did not boot\n");
+    t.completed = false;
+    return;
   }
 
-  const SimLeg sim = run_sim(events, payload_bytes);
-  std::printf("sim:  %llu delivered in %.3fs wall / %.3fs simulated (%.0f ev/wall-s)\n",
-              static_cast<unsigned long long>(sim.delivered), sim.wall_s,
-              sim.sim_s, static_cast<double>(sim.delivered) / sim.wall_s);
+  std::vector<storage::FileDisk*> disks = {roles["phb"]->node()->file_disk(),
+                                           roles["shb0"]->node()->file_disk()};
+  double syncer0 = 0, syncs0 = 0, bytes0 = 0;
+  for (const auto* d : disks) {
+    syncer0 += static_cast<double>(d->total_sync_cpu()) * 1e-6;
+    syncs0 += static_cast<double>(d->total_syncs());
+    bytes0 += static_cast<double>(d->total_synced_bytes());
+  }
 
-  const double real_eps = static_cast<double>(real.received) / real.wall_s;
-  const double sim_eps = static_cast<double>(sim.delivered) / sim.wall_s;
-  std::printf("real/sim wall throughput: %.2fx\n", real_eps / sim_eps);
+  // --- timed window: from the first due time until every event arrived ---
+  const std::int64_t t0 = now_ns() + 5'000'000;
+  for (auto& d : due_ns) d += t0;
+  // Due-time generator: publishes every event whose time has passed, then
+  // sleeps on a loop timer until the next one is due.
+  std::uint64_t next = 1;
+  core::Publisher& p = *publisher.publisher();
+  std::function<void()> generate = [&] {
+    const std::int64_t now = now_ns();
+    while (next <= events && due_ns[next - 1] <= now) p.publish(make_event(next++));
+    if (next > events) return;
+    loop.schedule_after(std::max<std::int64_t>((due_ns[next - 1] - now) / 1000, 0),
+                        [&] { generate(); });
+  };
+  loop.schedule_after((t0 - now_ns()) / 1000, [&] { generate(); });
+  const std::int64_t cpu0 = thread_cpu_ns();
+  const bool done = run_until(
+      loop, [&] { return tap.delivered + tap.missing >= events; },
+      static_cast<double>(events) / rate_eps + 30);
+  t.loop_cpu_s += static_cast<double>(thread_cpu_ns() - cpu0) * 1e-9;
+  t.wall_s += static_cast<double>(now_ns() - t0) * 1e-9;
+  for (const auto* d : disks) {
+    t.syncer_cpu_s += static_cast<double>(d->total_sync_cpu()) * 1e-6;
+    t.syncs += static_cast<double>(d->total_syncs());
+    t.synced_bytes += static_cast<double>(d->total_synced_bytes());
+  }
+  t.syncer_cpu_s -= syncer0;
+  t.syncs -= syncs0;
+  t.synced_bytes -= bytes0;
 
-  char buf[1536];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\n"
-      "  \"schema\": \"gryphon-sockets-bench-v1\",\n"
-      "  \"workloads\": [\n"
-      "    {\n"
-      "      \"name\": \"sockets_vs_sim\",\n"
-      "      \"variant\": \"run\",\n"
-      "      \"events\": %llu,\n"
-      "      \"payload_bytes\": %zu,\n"
-      "      \"real\": {\n"
-      "        \"topology\": \"phb<-shb brokers + pub + sub, 4 threads, loopback TCP, FileBackend WALs\",\n"
-      "        \"wall_s\": %.3f,\n"
-      "        \"events_per_wall_s\": %.0f,\n"
-      "        \"gaps\": %llu,\n"
-      "        \"decode_rejects\": %llu,\n"
-      "        \"reassembly_rejects\": %llu\n"
-      "      },\n"
-      "      \"sim\": {\n"
-      "        \"topology\": \"phb<-shb System, paper publishers, 1 match-all subscriber\",\n"
-      "        \"wall_s\": %.3f,\n"
-      "        \"sim_s\": %.3f,\n"
-      "        \"events_per_wall_s\": %.0f\n"
-      "      },\n"
-      "      \"real_over_sim_wall_throughput\": %.3f\n"
-      "    }\n"
-      "  ]\n"
-      "}",
-      static_cast<unsigned long long>(events), payload_bytes, real.wall_s,
-      real_eps, static_cast<unsigned long long>(real.gaps),
-      static_cast<unsigned long long>(real.decode_rejects),
-      static_cast<unsigned long long>(real.reassembly_rejects), sim.wall_s,
-      sim.sim_s, sim_eps, real_eps / sim_eps);
+  t.completed = t.completed && done;
+  for (const auto& [name, r] : roles) {
+    t.rejects += r->reassembly_rejects() + r->network().decode_rejects();
+  }
+  t.delivered += tap.delivered;
+  t.duplicates += tap.duplicates;
+  t.missing += tap.missing + (events - std::min(events, tap.delivered + tap.missing));
+  t.gaps += tap.gaps;
+  // Teardown with the loop stopped: no close callback runs mid-destruction.
+  roles.clear();
+  fs::remove_all(dir);
+}
+
+double percentile(std::vector<double> v, double pct) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  const auto rank = static_cast<std::size_t>(pct / 100.0 * static_cast<double>(v.size() - 1));
+  return v[rank];
+}
+
+/// Value of a flat `"key": number` line in a file we wrote ourselves.
+bool read_number(const std::string& text, const std::string& key, double& out) {
+  const std::string needle = "\"" + key + "\": ";
+  const auto at = text.find(needle);
+  if (at == std::string::npos) return false;
+  out = std::strtod(text.c_str() + at + needle.size(), nullptr);
+  return true;
+}
+
+int run(std::uint64_t events, double rate_eps, int reps, const std::string& out,
+        const std::string& check) {
+  std::printf("bench_sockets: real runtime, loopback TCP, %llu events x %d reps at %.0f ev/s\n",
+              static_cast<unsigned long long>(events), reps, rate_eps);
+  const fs::path dir = fs::temp_directory_path() /
+                       ("gryphon_bench_sockets." + std::to_string(::getpid()));
+  Totals t;
+  for (int i = 0; i < reps; ++i) {
+    run_rep(static_cast<std::uint64_t>(i + 1), events, rate_eps, dir, t);
+  }
+  fs::remove_all(dir);
+
+  const auto ev = static_cast<double>(t.delivered);
+  const double p50 = percentile(t.latencies_ms, 50);
+  const double p99 = percentile(t.latencies_ms, 99);
+  const double fsyncs_per_s = t.wall_s > 0 ? t.syncs / t.wall_s : 0;
+  const double bytes_per_fsync = t.syncs > 0 ? t.synced_bytes / t.syncs : 0;
+  const double loop_us = ev > 0 ? t.loop_cpu_s * 1e6 / ev : 0;
+  const double syncer_us = ev > 0 ? t.syncer_cpu_s * 1e6 / ev : 0;
+  std::printf("delivered %llu/%llu, duplicates %llu, missing %llu, gaps %llu, rejects %llu\n",
+              static_cast<unsigned long long>(t.delivered),
+              static_cast<unsigned long long>(t.events),
+              static_cast<unsigned long long>(t.duplicates),
+              static_cast<unsigned long long>(t.missing),
+              static_cast<unsigned long long>(t.gaps),
+              static_cast<unsigned long long>(t.rejects));
+  std::printf("e2e p50 %.3f ms, p99 %.3f ms (%zu samples)\n", p50, p99, t.latencies_ms.size());
+  std::printf("%.0f fsyncs/s, %.0f bytes/fsync; cpu/event: loop %.1f us, syncers %.1f us\n",
+              fsyncs_per_s, bytes_per_fsync, loop_us, syncer_us);
+
+  std::ostringstream json;
+  json << "{\n"
+       << "  \"schema\": \"gryphon-sockets-bench-v2\",\n"
+       << "  \"workloads\": [\n"
+       << "    {\n"
+       << "      \"name\": \"paced_real\",\n"
+       << "      \"topology\": \"phb<-shb brokers + pub + sub on one event loop, "
+          "loopback TCP, FileDisk WALs with fdatasync group commit\",\n"
+       << "      \"rate_eps\": " << rate_eps << ",\n"
+       << "      \"events_per_rep\": " << events << ",\n"
+       << "      \"reps\": " << reps << ",\n"
+       << "      \"payload_bytes\": " << kPayloadBytes << ",\n"
+       << "      \"exactly_once\": " << (t.exactly_once() ? "true" : "false") << ",\n"
+       << "      \"delivered\": " << t.delivered << ",\n"
+       << "      \"duplicates\": " << t.duplicates << ",\n"
+       << "      \"missing\": " << t.missing << ",\n"
+       << "      \"gaps\": " << t.gaps << ",\n"
+       << "      \"rejects\": " << t.rejects << ",\n"
+       << "      \"e2e_samples\": " << t.latencies_ms.size() << ",\n"
+       << "      \"e2e_p50_ms\": " << p50 << ",\n"
+       << "      \"e2e_p99_ms\": " << p99 << ",\n"
+       << "      \"gate_e2e_p99_ms\": " << kGateP99Ms << ",\n"
+       << "      \"fsyncs_per_s\": " << fsyncs_per_s << ",\n"
+       << "      \"bytes_per_fsync\": " << bytes_per_fsync << ",\n"
+       << "      \"loop_cpu_us_per_event\": " << loop_us << ",\n"
+       << "      \"syncer_cpu_us_per_event\": " << syncer_us << ",\n"
+       << "      \"wall_s\": " << t.wall_s << "\n"
+       << "    }\n"
+       << "  ]\n"
+       << "}\n";
   if (!out.empty()) {
-    std::ofstream f(out, std::ios::trunc);
-    f << buf << "\n";
+    std::ofstream(out, std::ios::trunc) << json.str();
     std::printf("wrote %s\n", out.c_str());
   }
-  return 0;
+
+  int rc = 0;
+  if (!t.exactly_once()) {
+    std::fprintf(stderr, "FAIL: the socket run broke exactly-once delivery\n");
+    rc = 1;
+  }
+  if (!check.empty()) {
+    std::ifstream in(check);
+    const std::string committed((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+    double gate = 0;
+    if (committed.find("\"exactly_once\": true") == std::string::npos ||
+        !read_number(committed, "gate_e2e_p99_ms", gate)) {
+      std::fprintf(stderr, "FAIL: %s records no exactly-once run with a p99 gate\n",
+                   check.c_str());
+      rc = 1;
+    } else if (p99 > gate) {
+      std::fprintf(stderr, "FAIL: e2e p99 %.3f ms is over the %.3f ms gate in %s\n", p99,
+                   gate, check.c_str());
+      rc = 1;
+    } else {
+      std::printf("ok: exactly-once, e2e p99 %.3f ms <= %.3f ms gate\n", p99, gate);
+    }
+  }
+  return rc;
 }
 
 }  // namespace
 }  // namespace gryphon::bench
 
 int main(int argc, char** argv) {
-  std::uint64_t events = 20000;
-  std::size_t payload = 64;
+  std::uint64_t events = 5000;
+  double rate = 1000;
+  int reps = 3;
   std::string out;
+  std::string check;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc) {
       events = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+    } else if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc) {
+      rate = std::atof(argv[++i]);
+    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
+      reps = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out = argv[++i];
-    } else if (std::strcmp(argv[i], "--payload") == 0 && i + 1 < argc) {
-      payload = static_cast<std::size_t>(std::atoll(argv[++i]));
+    } else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
+      check = argv[++i];
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      events = 2000;
+      events = 1000;
+      reps = 1;
       out.clear();
     } else {
       std::fprintf(stderr,
-                   "usage: bench_sockets [--events N] [--payload B] [--out FILE] "
-                   "[--smoke]\n");
+                   "usage: bench_sockets [--events N] [--rate EPS] [--reps R] "
+                   "[--out FILE] [--check FILE] [--smoke]\n");
       return 2;
     }
   }
+  if (events == 0 || rate <= 0 || reps <= 0) {
+    std::fprintf(stderr, "bench_sockets: --events, --rate and --reps must be positive\n");
+    return 2;
+  }
   gryphon::Logger::instance().set_level(gryphon::LogLevel::kWarn);
-  return gryphon::bench::run(events, payload, out);
+  return gryphon::bench::run(events, rate, reps, out, check);
 }

@@ -3,17 +3,27 @@
 // object is destroyed and a fresh one is constructed over the same
 // NodeResources, finding exactly the durable state a real restart would
 // find on disk.
+//
+// The CPU and disk come from the node's *host* (DESIGN.md §4.7):
+//  * the simulator host — sim::Cpu and SimDisk, the 2003 cost model;
+//  * the real host — net::InlineExecutor and FileDisk, built by
+//    net::BrokerProcess: handlers run inline on the event loop and every
+//    barrier is a real fdatasync on the node's syncer thread.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/config.hpp"
 #include "sim/cpu.hpp"
+#include "sim/executor.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 #include "storage/database.hpp"
+#include "storage/disk.hpp"
+#include "storage/file_disk.hpp"
 #include "storage/log_volume.hpp"
 #include "storage/sim_disk.hpp"
 #include "util/logging.hpp"
@@ -25,17 +35,37 @@ namespace gryphon::core {
 class Broker;
 
 class NodeResources {
+  // The host's devices; declared first so they outlive everything below.
+  std::unique_ptr<sim::Executor> cpu_owner_;
+  std::unique_ptr<storage::Disk> disk_owner_;
+
  public:
+  /// Simulator host: the cost model's CPU and the timing model's disk.
   NodeResources(sim::Scheduler& scheduler, sim::Network& network, std::string name,
                 const BrokerConfig& broker_config, storage::DiskConfig disk_config,
                 int db_connections = 1, storage::StorageOptions storage_options = {})
-      : sim(scheduler),
+      : NodeResources(scheduler, network, name,
+                      std::make_unique<sim::Cpu>(scheduler, name + ".cpu",
+                                                 broker_config.cores),
+                      std::make_unique<storage::SimDisk>(scheduler, name + ".disk",
+                                                         disk_config),
+                      db_connections, std::move(storage_options)) {}
+
+  /// Any host: the node runs on `host_cpu` and `host_disk` (named
+  /// "<name>.disk", which prefixes its WAL file names).
+  NodeResources(sim::Scheduler& scheduler, sim::Network& network, std::string name,
+                std::unique_ptr<sim::Executor> host_cpu,
+                std::unique_ptr<storage::Disk> host_disk, int db_connections,
+                storage::StorageOptions storage_options)
+      : cpu_owner_(std::move(host_cpu)),
+        disk_owner_(std::move(host_disk)),
+        sim(scheduler),
         network(network),
         name(std::move(name)),
         metrics(this->name),
         tracer(this->name),
-        cpu(scheduler, this->name + ".cpu", broker_config.cores),
-        disk(scheduler, this->name + ".disk", disk_config),
+        cpu(*cpu_owner_),
+        disk(*disk_owner_),
         log_volume(disk, storage_options, "log"),
         database(disk, db_connections, storage_options, "db") {
     // wal.* torn-tail totals are *counters* (not probes) so they land in the
@@ -72,6 +102,13 @@ class NodeResources {
     probes_.push_back(metrics.probe("disk.busy_usec", [this] {
       return static_cast<double>(disk.total_busy());
     }));
+    // Real host only, so simulator registries stay slot-for-slot identical:
+    // the syncer thread's CPU, which no loop-thread measure sees.
+    if (storage::FileDisk* fd = file_disk(); fd != nullptr) {
+      probes_.push_back(metrics.probe("disk.sync_cpu_usec", [fd] {
+        return static_cast<double>(fd->total_sync_cpu());
+      }));
+    }
     probes_.push_back(metrics.probe("disk.stall_time_usec", [this] {
       return static_cast<double>(disk.total_stall_time());
     }));
@@ -138,7 +175,7 @@ class NodeResources {
     metrics.counter("node.crashes")->inc();
     network.set_down(endpoint, true);
     cpu.clear();
-    disk.crash();
+    sim_disk().crash();
     log_volume.crash();
     database.crash();
     current_broker = nullptr;
@@ -149,7 +186,7 @@ class NodeResources {
   void restart() {
     GRYPHON_LOG(kInfo, name, "broker restarted over surviving durable state");
     network.set_down(endpoint, false);
-    disk.restart();
+    sim_disk().restart();
   }
 
   /// Torn sync on the node's disk: dirty data under the in-flight barrier
@@ -160,9 +197,25 @@ class NodeResources {
     GRYPHON_LOG(kWarn, name, "torn sync: in-flight disk barrier lost, retrying");
     log_volume.set_crash_entropy(entropy);
     database.set_crash_entropy(entropy >> 7);
-    disk.drop_unsynced();
+    sim_disk().drop_unsynced();
     log_volume.on_torn_sync();
     database.on_torn_sync();
+  }
+
+  /// The simulator host's devices (crash, stall and torn-sync injection).
+  [[nodiscard]] sim::Cpu& sim_cpu() {
+    auto* c = dynamic_cast<sim::Cpu*>(&cpu);
+    GRYPHON_CHECK_MSG(c != nullptr, name << " does not run on the simulator host");
+    return *c;
+  }
+  [[nodiscard]] storage::SimDisk& sim_disk() {
+    auto* d = dynamic_cast<storage::SimDisk*>(&disk);
+    GRYPHON_CHECK_MSG(d != nullptr, name << " does not run on the simulator host");
+    return *d;
+  }
+  /// The real host's disk, or nullptr under the simulator.
+  [[nodiscard]] storage::FileDisk* file_disk() {
+    return dynamic_cast<storage::FileDisk*>(&disk);
   }
 
   sim::Scheduler& sim;
@@ -172,11 +225,19 @@ class NodeResources {
   /// broker process crashes (they are the node's external observability).
   MetricsRegistry metrics;
   Tracer tracer;
-  sim::Cpu cpu;
-  storage::SimDisk disk;
+  sim::Executor& cpu;
+  storage::Disk& disk;
   storage::LogVolume log_volume;
   storage::Database database;
   sim::EndpointId endpoint = 0;
+
+  /// How persisted state names a peer endpoint (the PHB's and
+  /// intermediates' child-filter keys). Simulator endpoint ids never
+  /// change; a gryphon_broker process numbers its peers in hello order, so
+  /// the real runtime names them by peer instead (net::BrokerProcess).
+  std::function<std::string(sim::EndpointId)> peer_key = [](sim::EndpointId ep) {
+    return std::to_string(ep);
+  };
 
   /// The live broker process, or nullptr while crashed.
   Broker* current_broker = nullptr;

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 
 namespace gryphon::core {
 
 namespace {
 constexpr const char* kSubsTable = "phb_child_subs";
 
-std::string subs_key(sim::EndpointId child, SubscriberId sub) {
-  return std::to_string(child) + ':' + std::to_string(sub.value());
+std::string subs_key(const std::string& child, SubscriberId sub) {
+  return child + ':' + std::to_string(sub.value());
 }
 }  // namespace
 
@@ -89,16 +90,18 @@ void PublisherHostingBroker::start() {
 void PublisherHostingBroker::recover() {
   for (auto& [p, pe] : pubends_) pe->recover();
   // Child filters were persisted on every (un)subscribe.
+  // Keys name children as NodeResources::peer_key does, which survives a
+  // restart that renumbers the endpoints.
+  std::map<std::string, sim::EndpointId> child_by_key;
+  for (const auto& [ep, c] : children_) child_by_key.emplace(res_.peer_key(ep), ep);
   for (const auto& [key, value] : res_.database.scan(kSubsTable)) {
-    const auto colon = key.find(':');
+    const auto colon = key.rfind(':');
     GRYPHON_CHECK(colon != std::string::npos);
-    const auto child_ep =
-        static_cast<sim::EndpointId>(std::stoul(key.substr(0, colon)));
+    const auto child = child_by_key.find(key.substr(0, colon));
+    if (child == child_by_key.end()) continue;
     const SubscriberId sub{static_cast<std::uint32_t>(std::stoul(key.substr(colon + 1)))};
-    auto it = children_.find(child_ep);
-    if (it == children_.end()) continue;
     const std::string text(reinterpret_cast<const char*>(value.data()), value.size());
-    it->second.filter.add(sub, matching::parse_predicate(text));
+    children_.at(child->second).filter.add(sub, matching::parse_predicate(text));
   }
 }
 
@@ -277,7 +280,8 @@ void PublisherHostingBroker::persist_subscription(sim::EndpointId child_ep,
     value.resize(predicate.size());
     std::memcpy(value.data(), predicate.data(), predicate.size());
   }
-  res_.database.commit(0, {{kSubsTable, subs_key(child_ep, sub), std::move(value)}});
+  res_.database.commit(
+      0, {{kSubsTable, subs_key(res_.peer_key(child_ep), sub), std::move(value)}});
 }
 
 void PublisherHostingBroker::on_subscribe(sim::EndpointId from, const SubscribeMsg& msg) {

@@ -91,7 +91,7 @@ System::System(SystemConfig config)
     GRYPHON_CHECK(config_.shb_gc_pause > 0);
     // Recurring JVM GC pause on each SHB machine, independent of broker
     // restarts (the machine keeps collecting garbage either way).
-    for (auto& node : shb_nodes_) schedule_gc_tick(&node->cpu);
+    for (auto& node : shb_nodes_) schedule_gc_tick(&node->sim_cpu());
   }
 
   // Live trace consumers: the latency recorder always, the trace exporter
@@ -167,12 +167,12 @@ sim::EndpointId System::intermediate_uplink_endpoint(int i) const {
 
 storage::SimDisk& System::intermediate_disk(int i) {
   GRYPHON_CHECK(i >= 0 && i < static_cast<int>(intermediate_nodes_.size()));
-  return intermediate_nodes_[static_cast<std::size_t>(i)]->disk;
+  return intermediate_nodes_[static_cast<std::size_t>(i)]->sim_disk();
 }
 
 storage::SimDisk& System::shb_disk(int i) {
   GRYPHON_CHECK(i >= 0 && i < static_cast<int>(shb_nodes_.size()));
-  return shb_nodes_[static_cast<std::size_t>(i)]->disk;
+  return shb_nodes_[static_cast<std::size_t>(i)]->sim_disk();
 }
 
 std::vector<PubendId> System::pubends() const {
@@ -181,7 +181,7 @@ std::vector<PubendId> System::pubends() const {
 
 sim::Cpu& System::shb_cpu(int i) {
   GRYPHON_CHECK(i >= 0 && i < static_cast<int>(shb_nodes_.size()));
-  return shb_nodes_[static_cast<std::size_t>(i)]->cpu;
+  return shb_nodes_[static_cast<std::size_t>(i)]->sim_cpu();
 }
 
 core::Publisher& System::add_publisher(PubendId pubend, SimDuration interval,

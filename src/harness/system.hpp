@@ -100,7 +100,7 @@ class System {
   [[nodiscard]] bool intermediate_alive(int i) const;
   [[nodiscard]] std::vector<PubendId> pubends() const;
 
-  [[nodiscard]] sim::Cpu& phb_cpu() { return phb_node_->cpu; }
+  [[nodiscard]] sim::Cpu& phb_cpu() { return phb_node_->sim_cpu(); }
   [[nodiscard]] sim::Cpu& shb_cpu(int i = 0);
 
   // --- topology / device accessors (fault injection targets) ---
@@ -112,7 +112,7 @@ class System {
   [[nodiscard]] sim::EndpointId shb_uplink_endpoint(int i = 0) const;
   /// Endpoint directly upstream of intermediate i (i-1, or the PHB).
   [[nodiscard]] sim::EndpointId intermediate_uplink_endpoint(int i) const;
-  [[nodiscard]] storage::SimDisk& phb_disk() { return phb_node_->disk; }
+  [[nodiscard]] storage::SimDisk& phb_disk() { return phb_node_->sim_disk(); }
   [[nodiscard]] storage::SimDisk& intermediate_disk(int i);
   [[nodiscard]] storage::SimDisk& shb_disk(int i = 0);
 

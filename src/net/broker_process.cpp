@@ -6,6 +6,8 @@
 
 #include "core/messages.hpp"
 #include "matching/event.hpp"
+#include "net/inline_executor.hpp"
+#include "storage/file_disk.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
 
@@ -50,23 +52,29 @@ core::Publisher::EventFactory make_event_factory(int groups,
 BrokerProcess::BrokerProcess(EventLoop& loop, ProcessOptions options)
     : loop_(loop),
       options_(std::move(options)),
-      net_(loop),
+      net_(std::make_unique<sim::Network>(loop)),
       transport_(options_.codec) {
   GRYPHON_CHECK_MSG(is_broker() || is_client(),
                     "unknown role '" << options_.role << "'");
-  net_.set_transport(&transport_);
+  net_->set_transport(&transport_);
 
   if (is_broker()) {
     setup_listener();
     adopted_ = !options_.storage.file_dir.empty() &&
                wal_dir_populated(options_.storage.file_dir);
     node_ = std::make_unique<core::NodeResources>(
-        loop_, net_, options_.name, options_.broker, options_.disk,
-        options_.role == "shb" ? options_.shb_db_connections : 1,
-        options_.storage);
+        loop_, *net_, options_.name, std::make_unique<InlineExecutor>(loop_),
+        std::make_unique<storage::FileDisk>(loop_, options_.name + ".disk"),
+        options_.role == "shb" ? options_.shb_db_connections : 1, options_.storage);
+    // Peer endpoints are numbered in hello order, which a restart need not
+    // repeat; their names ("proxy.<peer>") are stable.
+    node_->peer_key = [this](sim::EndpointId ep) { return net_->name_of(ep); };
+    storage::FileDisk& disk = *node_->file_disk();
+    loop_.watch_fd(disk.completion_fd(), /*want_read=*/true, /*want_write=*/false,
+                   [&disk](std::uint32_t) { disk.run_completions(); });
     if (adopted_) {
       // A fresh process over a previous incarnation's WAL files: replay
-      // what the FileBackend found on disk. (crash_and_recover would
+      // what the segment files hold. (crash_and_recover would
       // truncate to *this* process's watermarks — zero — and wipe it.)
       node_->log_volume.adopt();
       node_->database.adopt();
@@ -107,26 +115,44 @@ BrokerProcess::BrokerProcess(EventLoop& loop, ProcessOptions options)
                          1);
     po.interval = core::Publisher::Options::kManualOnly;
     event_factory_ = make_event_factory(options_.groups, options_.payload_bytes);
-    publisher_ = std::make_unique<core::Publisher>(loop_, net_, po, parent_proxy_,
+    publisher_ = std::make_unique<core::Publisher>(loop_, *net_, po, parent_proxy_,
                                                    event_factory_);
   } else if (options_.role == "sub") {
     core::DurableSubscriber::Options so;
     so.id = SubscriberId(options_.client_id);
     so.predicate = options_.predicate;
-    subscriber_ = std::make_unique<core::DurableSubscriber>(loop_, net_, so,
-                                                            parent_proxy_);
+    subscriber_ = std::make_unique<core::DurableSubscriber>(loop_, *net_, so,
+                                                            parent_proxy_,
+                                                            options_.observer);
   }
 
   // Client endpoints come to exist only now; link them to the parent proxy
   // their dial_parent() call created above (brokers self-link in dial).
   if (is_client() && parent_proxy_set_) {
-    net_.connect(local_endpoint(), parent_proxy_, kProxyLink);
+    net_->connect(local_endpoint(), parent_proxy_, kProxyLink);
   }
 
   maybe_start();  // a PHB expecting zero children starts immediately
 }
 
-BrokerProcess::~BrokerProcess() = default;
+BrokerProcess::~BrokerProcess() {
+  if (node_ != nullptr) {
+    // The syncer stops before the node's WALs close their segment files,
+    // and barriers it has not completed are dropped, not acked.
+    storage::FileDisk& disk = *node_->file_disk();
+    loop_.unwatch_fd(disk.completion_fd());
+    disk.stop();
+  }
+  // The loop may outlive this process (an in-process restart) and still
+  // hold deliveries for its network.
+  sim::Network::retire(std::move(net_));
+}
+
+void BrokerProcess::after(SimDuration delay, void (BrokerProcess::*step)()) {
+  loop_.schedule_after(delay, [this, step, alive = std::weak_ptr<int>(alive_)] {
+    if (!alive.expired()) (this->*step)();
+  });
+}
 
 bool BrokerProcess::is_broker() const {
   return options_.role == "phb" || options_.role == "imb" || options_.role == "shb";
@@ -238,7 +264,7 @@ BrokerProcess::Peer& BrokerProcess::attach_peer(const std::string& name,
   peer.role = role;
   if (!peer.proxy_set) {
     peer.proxy_set = true;
-    peer.proxy = net_.add_endpoint(
+    peer.proxy = net_->add_endpoint(
         "proxy." + name, [this, name](sim::EndpointId, sim::MessagePtr msg) {
           auto it = peers_.find(name);
           if (it == peers_.end() || it->second.conn == nullptr ||
@@ -248,9 +274,9 @@ BrokerProcess::Peer& BrokerProcess::attach_peer(const std::string& name,
           it->second.conn->send_bytes(msg->wire_bytes());
         });
     transport_.mark_proxy(peer.proxy);
-    net_.connect(local_endpoint(), peer.proxy, kProxyLink);
+    net_->connect(local_endpoint(), peer.proxy, kProxyLink);
   } else {
-    net_.set_down(peer.proxy, false);  // reconnect revives the proxy
+    net_->set_down(peer.proxy, false);  // reconnect revives the proxy
   }
   peer.conn = std::move(conn);
   peer.ready_sent = false;
@@ -264,7 +290,7 @@ void BrokerProcess::wire_frame_sink(const std::string& name, Connection& conn) {
   conn.set_on_frame([this, name](std::shared_ptr<const sim::FrameMessage> frame) {
     auto it = peers_.find(name);
     if (it == peers_.end()) return;
-    net_.send(it->second.proxy, local_endpoint(), std::move(frame));
+    net_->send(it->second.proxy, local_endpoint(), std::move(frame));
   });
 }
 
@@ -273,7 +299,7 @@ void BrokerProcess::on_peer_closed(const std::string& name,
   auto it = peers_.find(name);
   if (it == peers_.end()) return;
   GRYPHON_LOG(kInfo, options_.name, " lost peer " << name << ": " << reason);
-  net_.set_down(it->second.proxy, true);
+  net_->set_down(it->second.proxy, true);
   if (it->second.conn != nullptr) {
     rejects_closed_ += it->second.conn->reassembly_rejects();
     it->second.conn.reset();
@@ -286,12 +312,12 @@ void BrokerProcess::dial_parent() {
   const int fd = tcp_connect_start(options_.parent_host, options_.parent_port, &err);
   if (fd < 0) {
     GRYPHON_LOG(kWarn, options_.name, " dial failed (" << err << "); retrying");
-    loop_.schedule_after(kRedialDelay, [this] { dial_parent(); });
+    after(kRedialDelay, &BrokerProcess::dial_parent);
     return;
   }
   if (!parent_proxy_set_) {
     parent_proxy_set_ = true;
-    parent_proxy_ = net_.add_endpoint(
+    parent_proxy_ = net_->add_endpoint(
         "proxy.parent", [this](sim::EndpointId, sim::MessagePtr msg) {
           auto it = peers_.find("__parent");
           if (it == peers_.end() || it->second.conn == nullptr ||
@@ -306,7 +332,7 @@ void BrokerProcess::dial_parent() {
     // satisfied, well after construction). Clients are built after the
     // first dial; the constructor links them once the endpoint exists.
     if (node_ != nullptr) {
-      net_.connect(local_endpoint(), parent_proxy_, kProxyLink);
+      net_->connect(local_endpoint(), parent_proxy_, kProxyLink);
     }
   }
   Peer& peer = peers_["__parent"];
@@ -326,21 +352,21 @@ void BrokerProcess::dial_parent() {
   wire_frame_sink("__parent", *peer.conn);
   peer.conn->set_on_close([this](const std::string& reason) {
     GRYPHON_LOG(kInfo, options_.name, " parent link down: " << reason);
-    net_.set_down(parent_proxy_, true);
+    net_->set_down(parent_proxy_, true);
     auto it = peers_.find("__parent");
     if (it != peers_.end() && it->second.conn != nullptr) {
       rejects_closed_ += it->second.conn->reassembly_rejects();
       it->second.conn.reset();
     }
     if (subscriber_ != nullptr && started_) subscriber_->notify_connection_reset();
-    loop_.schedule_after(kRedialDelay, [this] { dial_parent(); });
+    after(kRedialDelay, &BrokerProcess::dial_parent);
   });
   peer.conn->start();
   peer.conn->send_line("GRYHELLO " + options_.name + " " + options_.role);
 }
 
 void BrokerProcess::on_parent_ready() {
-  net_.set_down(parent_proxy_, false);
+  net_->set_down(parent_proxy_, false);
   parent_ready_ = true;
   maybe_start();
 }
@@ -414,7 +440,7 @@ void BrokerProcess::pump_publisher() {
     }
     publisher_->publish(event_factory_(publisher_->published() + 1));
   }
-  loop_.schedule_after(options_.publish_interval, [this] { pump_publisher(); });
+  after(options_.publish_interval, &BrokerProcess::pump_publisher);
 }
 
 void BrokerProcess::check_client_done() {
@@ -430,7 +456,7 @@ void BrokerProcess::check_client_done() {
     loop_.stop();
     return;
   }
-  loop_.schedule_after(kClientPollInterval, [this] { check_client_done(); });
+  after(kClientPollInterval, &BrokerProcess::check_client_done);
 }
 
 void BrokerProcess::send_ready(Peer& peer) {
@@ -450,7 +476,7 @@ std::string BrokerProcess::result_json() const {
       << ",\"received\":"
       << (subscriber_ != nullptr ? subscriber_->events_received() : 0)
       << ",\"gaps\":" << (subscriber_ != nullptr ? subscriber_->gaps_received() : 0)
-      << ",\"decode_rejects\":" << net_.decode_rejects()
+      << ",\"decode_rejects\":" << net_->decode_rejects()
       << ",\"reassembly_rejects\":" << reassembly_rejects() << "}";
   return out.str();
 }

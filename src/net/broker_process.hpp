@@ -3,8 +3,15 @@
 // This is the composition root of the stand-alone runtime: it owns the
 // per-process sim::Network (driven by the EventLoop scheduler instead of
 // the Simulator), installs a SocketTransport, and hosts exactly one role —
-// a PHB / intermediate / SHB broker over FileBackend WALs, or a publisher /
-// durable-subscriber client driver.
+// a PHB / intermediate / SHB broker, or a publisher / durable-subscriber
+// client driver.
+//
+// Host. A broker's NodeResources runs on the real host: an InlineExecutor
+// (handlers run FIFO on the event loop, no cost model) and a FileDisk
+// (held-open segment files under the WAL directory, every barrier a real
+// fdatasync on the node's syncer thread). The process watches the disk's
+// completion eventfd on the loop, so an ack leaves only after the fdatasync
+// covering its event returned.
 //
 // Topology model. Every remote peer is represented locally by a *proxy*
 // endpoint on this process's Network:
@@ -31,7 +38,7 @@
 //
 // Restart. When the WAL directory already holds segments from a previous
 // incarnation, the process adopts them (LogVolume/Database::adopt — a
-// replay of what the FileBackend found on disk, *not* a truncation to this
+// replay of what the segment files hold, *not* a truncation to this
 // process's watermarks) and boots the broker through its recover() path.
 #pragma once
 
@@ -52,7 +59,6 @@
 #include "net/socket_transport.hpp"
 #include "net/tcp.hpp"
 #include "sim/network.hpp"
-#include "storage/sim_disk.hpp"
 #include "storage/storage_backend.hpp"
 
 namespace gryphon::net {
@@ -69,8 +75,7 @@ struct ProcessOptions {
 
   int num_pubends = 4;
   core::BrokerConfig broker{};
-  storage::DiskConfig disk{};
-  storage::StorageOptions storage{};  // file_dir set => FileBackend WALs
+  storage::StorageOptions storage{};  // file_dir set => WAL segment files
   int shb_db_connections = 1;
   wire::CodecTransport::Options codec{};
 
@@ -83,6 +88,7 @@ struct ProcessOptions {
   std::size_t payload_bytes = 64;
   int groups = 4;                         // event factory: g = seq % groups
   std::uint64_t expect_events = 0;        // sub: done at this count (0 = run until stopped)
+  core::SubscriberObserver* observer = nullptr;  // sub: sees every delivery (tests)
 };
 
 class BrokerProcess {
@@ -115,7 +121,7 @@ class BrokerProcess {
   [[nodiscard]] core::SubscriberHostingBroker* shb() { return shb_.get(); }
   [[nodiscard]] core::PublisherHostingBroker* phb() { return phb_.get(); }
   [[nodiscard]] core::IntermediateBroker* imb() { return imb_.get(); }
-  [[nodiscard]] sim::Network& network() { return net_; }
+  [[nodiscard]] sim::Network& network() { return *net_; }
   [[nodiscard]] core::NodeResources* node() { return node_.get(); }
 
   /// Frame-reassembly rejects across all peer connections, living and dead.
@@ -151,11 +157,14 @@ class BrokerProcess {
   void pump_publisher();
   void send_ready(Peer& peer);
   void check_client_done();
+  /// Runs `step` after `delay` unless this process died first.
+  void after(SimDuration delay, void (BrokerProcess::*step)());
 
   EventLoop& loop_;
   ProcessOptions options_;
-  sim::Network net_;
+  std::unique_ptr<sim::Network> net_;  // retired, not freed, by the destructor
   SocketTransport transport_;
+  std::shared_ptr<int> alive_ = std::make_shared<int>(0);
 
   std::unique_ptr<TcpListener> listener_;
   int listen_fd_ = -1;

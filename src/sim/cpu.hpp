@@ -18,13 +18,14 @@
 #include <string>
 #include <vector>
 
+#include "sim/executor.hpp"
 #include "sim/scheduler.hpp"
 #include "util/assert.hpp"
 #include "util/time.hpp"
 
 namespace gryphon::sim {
 
-class Cpu {
+class Cpu final : public Executor {
  public:
   using Task = SmallTask;
 
@@ -45,15 +46,21 @@ class Cpu {
     });
   }
 
+  /// The Executor seam: the closure Broker::guarded already built is stored
+  /// as-is in the scheduled task, exactly as the template overload does.
+  void execute(SimDuration cost, std::function<void()> fn) override {
+    execute<std::function<void()>>(cost, std::move(fn));
+  }
+
   /// Blocks the whole server for `d` (e.g. a GC pause).
   void inject_stall(SimDuration d);
 
   /// Drops all queued-but-unstarted work (crash). Busy accounting of already
   /// "executed" service time is retained.
-  void clear();
+  void clear() override;
 
   /// How far behind the server currently is (0 when idle).
-  [[nodiscard]] SimDuration backlog() const;
+  [[nodiscard]] SimDuration backlog() const override;
 
   /// Fraction of [from, to) the server spent idle, in [0, 1].
   [[nodiscard]] double idle_fraction(SimTime from, SimTime to) const;
@@ -66,7 +73,7 @@ class Cpu {
   [[nodiscard]] std::vector<WindowIdle> idle_series() const;
 
   [[nodiscard]] std::uint64_t tasks_executed() const { return tasks_executed_; }
-  [[nodiscard]] SimDuration total_busy() const { return total_busy_; }
+  [[nodiscard]] SimDuration total_busy() const override { return total_busy_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] int cores() const { return cores_; }
 

@@ -83,6 +83,7 @@ bool Network::send(EndpointId from, EndpointId to, MessagePtr msg) {
   const SimTime departure = std::max(sim_.now(), l.free_at) + ser_time;
   l.free_at = departure;
   const SimTime arrival = departure + l.config.latency;
+  last_arrival_ = std::max(last_arrival_, arrival);
 
   const std::uint64_t send_epoch = endpoint(to).epoch;
   const std::uint64_t link_epoch = l.epoch;
@@ -155,6 +156,14 @@ void Network::set_down(EndpointId id, bool down) {
 }
 
 bool Network::is_down(EndpointId id) const { return endpoint(id).down; }
+
+void Network::retire(std::unique_ptr<Network> net) {
+  for (EndpointId id = 0; id < net->endpoints_.size(); ++id) net->set_down(id, true);
+  Scheduler& scheduler = net->sim_;
+  // Same-instant tasks run in scheduling order, so this runs after them.
+  const SimTime after_last = std::max(scheduler.now(), net->last_arrival_);
+  scheduler.schedule_at(after_last, [net = std::move(net)] {});
+}
 
 void Network::partition(EndpointId a, EndpointId b) {
   for (Link* l : {&link(a, b), &link(b, a)}) {

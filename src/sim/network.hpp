@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -130,6 +131,12 @@ class Network {
 
   [[nodiscard]] const std::string& name_of(EndpointId id) const;
 
+  /// Frees `net` once the scheduler has run every delivery it still has in
+  /// flight. Every endpoint goes down now, so those deliveries are dropped
+  /// without touching a handler or the transport: the endpoints' owners may
+  /// die first (a process torn down while its scheduler keeps running).
+  static void retire(std::unique_ptr<Network> net);
+
   /// Total messages/bytes ever delivered (diagnostics & tests).
   [[nodiscard]] std::uint64_t delivered_messages() const { return delivered_msgs_; }
   [[nodiscard]] std::uint64_t delivered_bytes() const { return delivered_bytes_; }
@@ -210,6 +217,7 @@ class Network {
   std::uint64_t delivered_msgs_ = 0;
   std::uint64_t delivered_bytes_ = 0;
   std::uint64_t refused_sends_ = 0;
+  SimTime last_arrival_ = 0;  // latest delivery ever scheduled (retire())
   std::uint64_t decode_rejects_ = 0;
   std::uint64_t corrupted_frames_ = 0;
 };

@@ -5,11 +5,11 @@
 
 namespace gryphon::storage {
 
-Database::Database(SimDisk& disk, int connections, StorageOptions options,
+Database::Database(Disk& disk, int connections, StorageOptions options,
                    std::string wal_prefix)
     : disk_(disk),
       options_(options),
-      backend_(make_backend(options, disk.name() + "." + wal_prefix)),
+      backend_(disk.make_backend(options, disk.name() + "." + wal_prefix)),
       wal_(*backend_, stable_node_id(disk.name()), options.segment_bytes) {
   GRYPHON_CHECK(connections >= 1);
   conns_.resize(static_cast<std::size_t>(connections));
@@ -77,11 +77,14 @@ void Database::maybe_start_commit(int connection) {
   std::size_t bytes = 0;
   for (const auto& txn : conn.inflight) bytes += txn_bytes(txn);
   // Express per-transaction engine work as equivalent device occupancy so
-  // it is shared (serialized) across connections like the DB log is.
-  bytes += static_cast<std::size_t>(
-      static_cast<double>(per_txn_overhead_) * 1e-6 *
-      disk_.config().write_bandwidth_bytes_per_sec *
-      static_cast<double>(conn.inflight.size()));
+  // it is shared (serialized) across connections like the DB log is. Only
+  // the timing model has occupancy; a real disk's engine work is real.
+  if (const DiskConfig* model = disk_.model(); model != nullptr) {
+    bytes += static_cast<std::size_t>(
+        static_cast<double>(per_txn_overhead_) * 1e-6 *
+        model->write_bandwidth_bytes_per_sec *
+        static_cast<double>(conn.inflight.size()));
+  }
 
   // Serialize the batch into the WAL at barrier-issue time: the frame's
   // bytes are what this barrier physically makes durable. Opportunistic

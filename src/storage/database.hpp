@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "storage/sim_disk.hpp"
+#include "storage/disk.hpp"
 #include "storage/wal.hpp"
 #include "util/assert.hpp"
 #include "util/metrics.hpp"
@@ -57,7 +57,7 @@ class Database {
 
   /// `connections` models the pool of JDBC connections, each with its own
   /// serial commit thread.
-  Database(SimDisk& disk, int connections = 1, StorageOptions options = {},
+  Database(Disk& disk, int connections = 1, StorageOptions options = {},
            std::string wal_prefix = "db");
 
   void bind_instruments(const Instruments& instruments) {
@@ -150,7 +150,7 @@ class Database {
   /// overhead), fed to the disk model.
   static std::size_t txn_bytes(const Txn& txn);
 
-  SimDisk& disk_;
+  Disk& disk_;
   StorageOptions options_;
   std::unique_ptr<StorageBackend> backend_;
   Wal wal_;

@@ -6,9 +6,9 @@
 
 namespace gryphon::storage {
 
-LogVolume::LogVolume(SimDisk& disk, StorageOptions options, std::string wal_prefix)
+LogVolume::LogVolume(Disk& disk, StorageOptions options, std::string wal_prefix)
     : disk_(disk),
-      backend_(make_backend(options, disk.name() + "." + wal_prefix)),
+      backend_(disk.make_backend(options, disk.name() + "." + wal_prefix)),
       wal_(*backend_, stable_node_id(disk.name()), options.segment_bytes) {}
 
 LogStreamId LogVolume::open_stream(const std::string& name) {

@@ -32,7 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "storage/sim_disk.hpp"
+#include "storage/disk.hpp"
 #include "storage/wal.hpp"
 #include "util/assert.hpp"
 #include "util/metrics.hpp"
@@ -56,7 +56,7 @@ class LogVolume {
     Histogram* group_commit_bytes = nullptr;
   };
 
-  explicit LogVolume(SimDisk& disk, StorageOptions options = {},
+  explicit LogVolume(Disk& disk, StorageOptions options = {},
                      std::string wal_prefix = "log");
   LogVolume(const LogVolume&) = delete;
   LogVolume& operator=(const LogVolume&) = delete;
@@ -179,7 +179,7 @@ class LogVolume {
 
   static constexpr std::size_t kMaxPooledBuffers = 256;
 
-  SimDisk& disk_;
+  Disk& disk_;
   std::unique_ptr<StorageBackend> backend_;
   Wal wal_;
   Instruments instruments_;

@@ -33,31 +33,31 @@
 #include <string>
 
 #include "sim/scheduler.hpp"
+#include "storage/disk.hpp"
 #include "util/assert.hpp"
 #include "util/time.hpp"
 
 namespace gryphon::storage {
 
-struct DiskConfig {
-  SimDuration sync_latency = msec(4);
-  double write_bandwidth_bytes_per_sec = 40e6;
-  double read_bandwidth_bytes_per_sec = 60e6;
-  SimDuration read_seek_latency = msec(6);
-};
-
-class SimDisk {
+class SimDisk final : public Disk {
  public:
   SimDisk(sim::Scheduler& scheduler, std::string name, DiskConfig config = {});
-  SimDisk(const SimDisk&) = delete;
-  SimDisk& operator=(const SimDisk&) = delete;
+
+  /// In-memory segments, or plain files under options.file_dir.
+  [[nodiscard]] std::unique_ptr<StorageBackend> make_backend(
+      const StorageOptions& options, const std::string& prefix) override {
+    return storage::make_backend(options, prefix);
+  }
 
   /// Schedules a write barrier for `bytes` of dirty data; `done` fires when
   /// the data is durable. Callbacks fire in issue order (one spindle).
-  void write_and_sync(std::size_t bytes, std::function<void()> done);
+  void write_and_sync(std::size_t bytes, std::function<void()> done) override;
 
   /// Schedules a read of `bytes` (one seek + sequential transfer, sharing
   /// the spindle with writes); `done` fires with the data "in memory".
-  void read(std::size_t bytes, std::function<void()> done);
+  void read(std::size_t bytes, std::function<void()> done) override;
+
+  [[nodiscard]] const DiskConfig* model() const override { return &config_; }
 
   /// Drops all outstanding completions (power loss) and marks the device
   /// crashed: further IO is an invariant violation until restart().
@@ -95,22 +95,22 @@ class SimDisk {
   /// (LogVolume/Database::on_torn_sync).
   void drop_unsynced();
 
-  [[nodiscard]] std::uint64_t total_bytes_written() const { return bytes_written_; }
+  [[nodiscard]] std::uint64_t total_bytes_written() const override { return bytes_written_; }
   /// Dirty bytes whose covering barrier actually completed, vs. bytes whose
   /// barrier was lost to a crash or torn sync before acking. Counted when
   /// the (simulated) completion fires, so `written == synced + dropped +
   /// in-flight` at any instant.
-  [[nodiscard]] std::uint64_t total_synced_bytes() const { return bytes_synced_; }
-  [[nodiscard]] std::uint64_t total_dropped_bytes() const { return bytes_dropped_; }
-  [[nodiscard]] std::uint64_t total_bytes_read() const { return bytes_read_; }
-  [[nodiscard]] std::uint64_t total_syncs() const { return syncs_; }
-  [[nodiscard]] std::uint64_t total_reads() const { return reads_; }
-  [[nodiscard]] SimDuration total_busy() const { return busy_; }
+  [[nodiscard]] std::uint64_t total_synced_bytes() const override { return bytes_synced_; }
+  [[nodiscard]] std::uint64_t total_dropped_bytes() const override { return bytes_dropped_; }
+  [[nodiscard]] std::uint64_t total_bytes_read() const override { return bytes_read_; }
+  [[nodiscard]] std::uint64_t total_syncs() const override { return syncs_; }
+  [[nodiscard]] std::uint64_t total_reads() const override { return reads_; }
+  [[nodiscard]] SimDuration total_busy() const override { return busy_; }
   [[nodiscard]] std::uint64_t total_stalls() const { return stalls_; }
   /// Cumulative injected stall time (sum of inject_stall durations).
-  [[nodiscard]] SimDuration total_stall_time() const { return stall_time_; }
-  [[nodiscard]] std::uint64_t total_torn_syncs() const { return dropped_syncs_; }
-  [[nodiscard]] const std::string& name() const { return name_; }
+  [[nodiscard]] SimDuration total_stall_time() const override { return stall_time_; }
+  [[nodiscard]] std::uint64_t total_torn_syncs() const override { return dropped_syncs_; }
+  [[nodiscard]] const std::string& name() const override { return name_; }
   [[nodiscard]] const DiskConfig& config() const { return config_; }
 
  private:

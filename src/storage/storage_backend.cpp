@@ -1,7 +1,11 @@
 #include "storage/storage_backend.hpp"
 
-#include <algorithm>
-#include <cstdio>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 
 #include "util/assert.hpp"
@@ -54,41 +58,17 @@ std::size_t MemoryBackend::size(std::uint64_t seq) const {
 
 // --- FileBackend ---------------------------------------------------------
 
-FileBackend::FileBackend(std::string dir, std::string prefix)
-    : dir_(std::move(dir)), prefix_(std::move(prefix)) {
+namespace {
+
+std::string errno_text() { return std::strerror(errno); }
+
+}  // namespace
+
+FileBackend::Segment::~Segment() { ::close(fd); }
+
+FileBackend::FileBackend(std::string dir, std::string prefix, Observer* observer)
+    : dir_(std::move(dir)), prefix_(std::move(prefix)), observer_(observer) {
   std::filesystem::create_directories(dir_);
-}
-
-std::string FileBackend::path(std::uint64_t seq) const {
-  return dir_ + "/" + prefix_ + "-" + std::to_string(seq) + ".wal";
-}
-
-void FileBackend::create_segment(std::uint64_t seq) {
-  std::FILE* f = std::fopen(path(seq).c_str(), "wb");
-  GRYPHON_CHECK_MSG(f != nullptr, "cannot create " << path(seq));
-  std::fclose(f);
-}
-
-void FileBackend::append(std::uint64_t seq, std::span<const std::byte> bytes) {
-  if (bytes.empty()) return;
-  std::FILE* f = std::fopen(path(seq).c_str(), "ab");
-  GRYPHON_CHECK_MSG(f != nullptr, "cannot append to " << path(seq));
-  const std::size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  GRYPHON_CHECK_MSG(n == bytes.size(), "short write to " << path(seq));
-}
-
-void FileBackend::truncate(std::uint64_t seq, std::size_t new_size) {
-  std::filesystem::resize_file(path(seq), new_size);
-}
-
-void FileBackend::drop_segment(std::uint64_t seq) {
-  GRYPHON_CHECK_MSG(std::filesystem::remove(path(seq)),
-                    "drop of unknown segment file " << path(seq));
-}
-
-std::vector<std::uint64_t> FileBackend::segments() const {
-  std::vector<std::uint64_t> out;
   const std::string head = prefix_ + "-";
   const std::string tail = ".wal";
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
@@ -102,28 +82,96 @@ std::vector<std::uint64_t> FileBackend::segments() const {
         digits.find_first_not_of("0123456789") != std::string::npos) {
       continue;
     }
-    out.push_back(std::strtoull(digits.c_str(), nullptr, 10));
+    const std::uint64_t seq = std::strtoull(digits.c_str(), nullptr, 10);
+    const int fd = ::open(path(seq).c_str(), O_RDWR | O_CLOEXEC);
+    GRYPHON_CHECK_MSG(fd >= 0, "cannot open " << path(seq) << ": " << errno_text());
+    auto seg = std::make_shared<Segment>(fd, path(seq));
+    struct stat st {};
+    GRYPHON_CHECK_MSG(::fstat(fd, &st) == 0, "cannot stat " << seg->path);
+    seg->size = static_cast<std::uint64_t>(st.st_size);
+    seg->synced = seg->size;  // it survived whatever came before
+    seg->entry_synced = true;
+    segs_.emplace(seq, std::move(seg));
   }
-  std::sort(out.begin(), out.end());
+}
+
+std::string FileBackend::path(std::uint64_t seq) const {
+  return dir_ + "/" + prefix_ + "-" + std::to_string(seq) + ".wal";
+}
+
+const std::shared_ptr<FileBackend::Segment>& FileBackend::segment(
+    std::uint64_t seq) const {
+  auto it = segs_.find(seq);
+  GRYPHON_CHECK_MSG(it != segs_.end(), "unknown segment " << path(seq));
+  return it->second;
+}
+
+void FileBackend::create_segment(std::uint64_t seq) {
+  GRYPHON_CHECK_MSG(!segs_.contains(seq), "segment " << seq << " already exists");
+  const int fd = ::open(path(seq).c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  GRYPHON_CHECK_MSG(fd >= 0, "cannot create " << path(seq) << ": " << errno_text());
+  auto& seg = segs_[seq] = std::make_shared<Segment>(fd, path(seq));
+  if (observer_ != nullptr) observer_->on_entry(seg);
+}
+
+void FileBackend::append(std::uint64_t seq, std::span<const std::byte> bytes) {
+  if (bytes.empty()) return;
+  const auto& seg = segment(seq);
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::pwrite(seg->fd, bytes.data() + done, bytes.size() - done,
+                               static_cast<off_t>(seg->size + done));
+    if (n < 0 && errno == EINTR) continue;
+    GRYPHON_CHECK_MSG(n > 0, "write to " << seg->path << " failed: " << errno_text());
+    done += static_cast<std::size_t>(n);
+  }
+  seg->size += bytes.size();
+  if (observer_ != nullptr) observer_->on_write(seg, bytes.size());
+}
+
+void FileBackend::truncate(std::uint64_t seq, std::size_t new_size) {
+  const auto& seg = segment(seq);
+  GRYPHON_CHECK(new_size <= seg->size);
+  GRYPHON_CHECK_MSG(::ftruncate(seg->fd, static_cast<off_t>(new_size)) == 0,
+                    "cannot truncate " << seg->path << ": " << errno_text());
+  seg->size = new_size;
+  if (seg->synced > new_size) seg->synced = new_size;
+  if (observer_ != nullptr) observer_->on_write(seg, 0);
+}
+
+void FileBackend::drop_segment(std::uint64_t seq) {
+  auto it = segs_.find(seq);
+  GRYPHON_CHECK_MSG(it != segs_.end(), "drop of unknown segment file " << path(seq));
+  GRYPHON_CHECK_MSG(::unlink(it->second->path.c_str()) == 0,
+                    "cannot remove " << it->second->path << ": " << errno_text());
+  it->second->dropped = true;
+  if (observer_ != nullptr) observer_->on_entry(it->second);
+  segs_.erase(it);
+}
+
+std::vector<std::uint64_t> FileBackend::segments() const {
+  std::vector<std::uint64_t> out;
+  out.reserve(segs_.size());
+  for (const auto& [seq, seg] : segs_) out.push_back(seq);
   return out;
 }
 
 std::vector<std::byte> FileBackend::load(std::uint64_t seq) const {
-  std::FILE* f = std::fopen(path(seq).c_str(), "rb");
-  GRYPHON_CHECK_MSG(f != nullptr, "cannot load " << path(seq));
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<std::byte> bytes(static_cast<std::size_t>(size));
-  const std::size_t n =
-      bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  GRYPHON_CHECK_MSG(n == bytes.size(), "short read from " << path(seq));
+  const auto& seg = segment(seq);
+  std::vector<std::byte> bytes(seg->size);
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::pread(seg->fd, bytes.data() + done, bytes.size() - done,
+                              static_cast<off_t>(done));
+    if (n < 0 && errno == EINTR) continue;
+    GRYPHON_CHECK_MSG(n > 0, "short read from " << seg->path);
+    done += static_cast<std::size_t>(n);
+  }
   return bytes;
 }
 
 std::size_t FileBackend::size(std::uint64_t seq) const {
-  return static_cast<std::size_t>(std::filesystem::file_size(path(seq)));
+  return static_cast<std::size_t>(segment(seq)->size);
 }
 
 std::unique_ptr<StorageBackend> make_backend(const StorageOptions& options,

@@ -1,16 +1,19 @@
 // StorageBackend — where WAL segment bytes actually live.
 //
-// The SimDisk stays the *timing* model (barrier latency, bandwidth, torn
-// syncs); a StorageBackend is the *contents* model: an ordered set of
-// append-only segments the recovery scanner reads back after a crash.
+// The node's Disk decides *when* bytes are durable (barriers); a
+// StorageBackend is the *contents* model: an ordered set of append-only
+// segments the recovery scanner reads back after a crash.
 //
 //  * MemoryBackend (default): segments are std::vector<std::byte> — tier-1
 //    tests stay hermetic and deterministic, no filesystem involved.
-//  * FileBackend (behind StorageOptions::file_dir): segments are real
-//    "<prefix>-<seq>.wal" files, so a recovery scan genuinely round-trips
-//    through the OS. Used by bench_recovery_fuzz --wal-dir.
+//  * FileBackend (behind StorageOptions::file_dir, and always under the
+//    real runtime's FileDisk): segments are real "<prefix>-<seq>.wal" files
+//    held open for the backend's lifetime and written with pwrite, so a
+//    recovery scan genuinely round-trips through the OS. Used by
+//    bench_recovery_fuzz --wal-dir and by gryphon_broker.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -64,9 +67,43 @@ class MemoryBackend final : public StorageBackend {
 
 class FileBackend final : public StorageBackend {
  public:
+  /// One open segment file. Shared, so a sync in flight on another thread
+  /// keeps the fd open after the backend drops the segment or dies.
+  struct Segment {
+    Segment(int fd, std::string path) : fd(fd), path(std::move(path)) {}
+    Segment(const Segment&) = delete;
+    Segment& operator=(const Segment&) = delete;
+    ~Segment();  // closes fd
+
+    const int fd;
+    const std::string path;
+    std::uint64_t size = 0;  // bytes in the file
+    bool dropped = false;    // unlinked by drop_segment
+    // FileDisk bookkeeping, owned by its loop thread.
+    bool dirty = false;
+    bool tracked = false;
+    // Durability ledger, advanced by FileDisk's syncer thread: the length
+    // a completed fdatasync covers, and whether a directory fsync covered
+    // the file's creation. Files adopted from disk start fully durable.
+    std::atomic<std::uint64_t> synced{0};
+    std::atomic<bool> entry_synced{false};
+  };
+
+  /// Learns what the next barrier must cover (FileDisk's dirty set).
+  class Observer {
+   public:
+    virtual ~Observer() = default;
+    /// Bytes of `segment` changed: `appended` bytes written, or a truncate.
+    virtual void on_write(const std::shared_ptr<Segment>& segment,
+                          std::size_t appended) = 0;
+    /// `segment` was created or dropped: its directory entry changed.
+    virtual void on_entry(const std::shared_ptr<Segment>& segment) = 0;
+  };
+
   /// Segments live at `<dir>/<prefix>-<seq>.wal`; `dir` is created if
-  /// missing. Pre-existing files for `prefix` are adopted (recovery).
-  FileBackend(std::string dir, std::string prefix);
+  /// missing. Pre-existing files for `prefix` are opened and adopted
+  /// (recovery). `observer`, if set, must outlive the backend.
+  FileBackend(std::string dir, std::string prefix, Observer* observer = nullptr);
 
   void create_segment(std::uint64_t seq) override;
   void append(std::uint64_t seq, std::span<const std::byte> bytes) override;
@@ -78,9 +115,12 @@ class FileBackend final : public StorageBackend {
 
  private:
   [[nodiscard]] std::string path(std::uint64_t seq) const;
+  [[nodiscard]] const std::shared_ptr<Segment>& segment(std::uint64_t seq) const;
 
   std::string dir_;
   std::string prefix_;
+  Observer* observer_;
+  std::map<std::uint64_t, std::shared_ptr<Segment>> segs_;
 };
 
 /// Builds the backend `options` asks for; `prefix` namespaces one WAL's

@@ -10,13 +10,16 @@ namespace gryphon::storage {
 Wal::Wal(StorageBackend& backend, std::uint32_t node_id, std::size_t segment_bytes)
     : backend_(backend), node_id_(node_id), segment_bytes_(segment_bytes) {
   GRYPHON_CHECK(segment_bytes_ >= wire::kSegmentPreambleBytes + wire::kFrameHeaderBytes);
-  if (backend_.segments().empty()) {
+  // Pre-existing files (FileBackend adoption): the caller must replay()
+  // before appending, which reopens the last surviving segment. Rolling a
+  // placeholder here instead would snapshot an empty stream registry into
+  // its header, and once GC dropped the older segments a later restart
+  // could no longer name the streams.
+  const std::vector<std::uint64_t> existing = backend_.segments();
+  if (existing.empty()) {
     roll_segment();
   } else {
-    // Pre-existing files (FileBackend adoption): the caller must replay()
-    // before appending; a placeholder keeps the invariants trivially true.
-    next_seq_ = backend_.segments().back() + 1;
-    roll_segment();
+    next_seq_ = existing.back() + 1;
   }
 }
 
@@ -82,6 +85,7 @@ void Wal::note_frame(SegmentMeta& seg, const wire::FrameView& frame) {
 
 std::uint64_t Wal::append(wire::FrameKind kind, LogStreamId stream, LogIndex index,
                           std::span<const std::byte> payload) {
+  GRYPHON_CHECK_MSG(!segments_.empty(), "replay() adopted segments before appending");
   maybe_roll();
   SegmentMeta& seg = segments_.back();
   frame_buf_.clear();

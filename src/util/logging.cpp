@@ -24,6 +24,7 @@ Logger& Logger::instance() {
 Logger::Logger() { set_sink(nullptr); }
 
 void Logger::set_sink(Sink sink) {
+  std::lock_guard<std::mutex> lock(mu_);
   if (sink) {
     sink_ = std::move(sink);
     return;
@@ -35,10 +36,16 @@ void Logger::set_sink(Sink sink) {
   };
 }
 
+void Logger::set_clock(Clock clock) {
+  std::lock_guard<std::mutex> lock(mu_);
+  clock_ = std::move(clock);
+}
+
 void Logger::log(LogLevel level, const std::string& component,
                  const std::string& message) {
   if (!enabled(level)) return;
-  ++emitted_;
+  emitted_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
   sink_(level, component, message, clock_ ? clock_() : 0);
 }
 

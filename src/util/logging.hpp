@@ -7,11 +7,18 @@
 // or install a capturing sink. A clock hook lets the harness stamp entries
 // with *simulated* time, which is the only time that means anything here.
 //
+// Thread-safe: the level is atomic, and emitting, set_sink and set_clock
+// are serialized, so threads sharing the process-wide Logger never
+// interleave entries or race a sink swap. A sink must not log itself.
+//
 //   Logger::instance().set_level(LogLevel::kInfo);
 //   GRYPHON_LOG(kInfo, "shb0", "subscriber " << id << " switched to constream");
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
+#include <mutex>
 #include <sstream>
 #include <string>
 
@@ -40,27 +47,30 @@ class Logger {
 
   static Logger& instance();
 
-  void set_level(LogLevel level) { level_ = level; }
-  [[nodiscard]] LogLevel level() const { return level_; }
-  [[nodiscard]] bool enabled(LogLevel level) const { return level >= level_; }
+  void set_level(LogLevel level) { level_.store(level, std::memory_order_relaxed); }
+  [[nodiscard]] LogLevel level() const { return level_.load(std::memory_order_relaxed); }
+  [[nodiscard]] bool enabled(LogLevel level) const { return level >= this->level(); }
 
   /// Replaces the sink (nullptr restores the stderr default).
   void set_sink(Sink sink);
 
   /// Installs the time source (the harness points this at its Simulator).
-  void set_clock(Clock clock) { clock_ = std::move(clock); }
+  void set_clock(Clock clock);
 
   void log(LogLevel level, const std::string& component, const std::string& message);
 
-  [[nodiscard]] std::uint64_t emitted() const { return emitted_; }
+  [[nodiscard]] std::uint64_t emitted() const {
+    return emitted_.load(std::memory_order_relaxed);
+  }
 
  private:
   Logger();
 
-  LogLevel level_ = LogLevel::kOff;
+  std::atomic<LogLevel> level_{LogLevel::kOff};
+  std::mutex mu_;  // guards sink_ and clock_, and orders entries
   Sink sink_;
   Clock clock_;
-  std::uint64_t emitted_ = 0;
+  std::atomic<std::uint64_t> emitted_{0};
 };
 
 }  // namespace gryphon

@@ -13,6 +13,8 @@
 //               positions.
 #pragma once
 
+#include <time.h>
+
 #include <cstdint>
 
 namespace gryphon {
@@ -28,6 +30,14 @@ constexpr SimDuration msec(std::int64_t n) { return n * 1000; }
 constexpr SimDuration sec(std::int64_t n) { return n * 1'000'000; }
 constexpr double to_seconds(SimTime t) { return static_cast<double>(t) / 1e6; }
 constexpr double to_millis(SimTime t) { return static_cast<double>(t) / 1e3; }
+
+/// CPU time the calling thread has used, in nanoseconds — a real clock
+/// (the real runtime's busy accounting), never simulated time.
+inline std::int64_t thread_cpu_ns() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
 
 /// Event-stream timestamp in tick-milliseconds (paper §2: fine-grained enough
 /// that no two events of one pubend share a tick).

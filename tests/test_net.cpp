@@ -445,15 +445,14 @@ class BrokerSmoke : public ::testing::Test {
 TEST_F(BrokerSmoke, LoopbackTopologyDeliversExactlyOnce) {
   spawn({"--role", "phb", "--name", "phb", "--listen", "0", "--port-file",
          (dir_ / "phb.port").string(), "--children", "1", "--wal-dir",
-         (dir_ / "phb").string(), "--pubends", "2", "--run-for-sec", "60",
-         "--disk-sync-usec", "500"});
+         (dir_ / "phb").string(), "--pubends", "2", "--run-for-sec", "60"});
   const std::uint16_t phb_port = wait_port(dir_ / "phb.port", 10000);
   ASSERT_NE(phb_port, 0) << "PHB never published its port";
 
   spawn({"--role", "shb", "--name", "shb0", "--listen", "0", "--port-file",
          (dir_ / "shb.port").string(), "--parent", "127.0.0.1:" + std::to_string(phb_port),
          "--wal-dir", (dir_ / "shb").string(), "--pubends", "2", "--run-for-sec",
-         "60", "--disk-sync-usec", "500"});
+         "60"});
   const std::uint16_t shb_port = wait_port(dir_ / "shb.port", 10000);
   ASSERT_NE(shb_port, 0) << "SHB never published its port";
 

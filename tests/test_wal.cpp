@@ -527,6 +527,55 @@ TEST(FileBackendTest, WalAdoptsPreexistingFilesViaReplay) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(FileBackendTest, ReadoptionAfterGcOfTheAdoptedSegments) {
+  // A restarted process appends after adopting, then GC drops every segment
+  // it adopted. The segments left must still name the stream, or the next
+  // restart cannot replay them (an adoption-time segment used to snapshot
+  // an empty stream registry into its header).
+  const std::string dir = "test_wal_files.readopt";
+  std::filesystem::remove_all(dir);
+  StorageOptions options;
+  options.file_dir = dir;
+  options.segment_bytes = 256;  // a few records per segment
+  const std::vector<std::byte> record(64, std::byte{7});
+  auto make_durable = [](sim::Simulator& sim, LogVolume& volume) {
+    volume.sync([] {});
+    sim.run_until_idle();
+  };
+  LogIndex kept = kNoIndex;
+  {
+    sim::Simulator sim;
+    SimDisk disk(sim, "node.disk");
+    LogVolume volume(disk, options);
+    const LogStreamId s = volume.open_stream("s");
+    for (int i = 0; i < 8; ++i) volume.append(s, record);
+    make_durable(sim, volume);
+  }
+  {
+    sim::Simulator sim;
+    SimDisk disk(sim, "node.disk");
+    LogVolume volume(disk, options);
+    volume.adopt();
+    const LogStreamId s = volume.open_stream("s");
+    kept = volume.append(s, record);
+    make_durable(sim, volume);
+    volume.chop(s, kept - 1);  // every adopted record is dead
+    make_durable(sim, volume);
+    EXPECT_GT(volume.wal().gc_dropped_segments(), 0u);
+  }
+  {
+    sim::Simulator sim;
+    SimDisk disk(sim, "node.disk");
+    LogVolume volume(disk, options);
+    volume.adopt();
+    const LogStreamId s = volume.open_stream("s");
+    EXPECT_EQ(volume.first_index(s), kept);
+    EXPECT_EQ(volume.next_index(s), kept + 1);
+    ASSERT_NE(volume.read(s, kept), nullptr);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace gryphon::storage
 

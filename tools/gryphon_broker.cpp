@@ -58,7 +58,7 @@ void usage() {
       "  --started-file PATH  write '1' once the role has started\n"
       "  --parent HOST:PORT   upstream broker (everyone except the PHB)\n"
       "  --children N         broker children to await before starting\n"
-      "  --wal-dir DIR        FileBackend WAL directory (restart recovers)\n"
+      "  --wal-dir DIR        WAL directory, fdatasync'ed (restart recovers)\n"
       "  --pubends N          pubend count, must match across the topology (4)\n"
       "  --client-id N        publisher/subscriber id (1)\n"
       "  --events N           pub: publish N events then exit when acked\n"
@@ -70,7 +70,6 @@ void usage() {
       "  --expect N           sub: exit once N events consumed\n"
       "  --run-for-sec S      hard runtime bound (safety net for scripts)\n"
       "  --result-file PATH   write a one-line JSON summary on exit\n"
-      "  --disk-sync-usec N   disk sync latency (4000)\n"
       "  --log-level L        off|debug|info|warn|error (warn)\n";
 }
 
@@ -125,8 +124,6 @@ bool parse_flags(int argc, char** argv, Flags& flags) {
       flags.run_for_sec = std::atof(v.c_str());
     } else if (arg == "--result-file" && value(v)) {
       flags.result_file = v;
-    } else if (arg == "--disk-sync-usec" && value(v)) {
-      p.disk.sync_latency = std::atoll(v.c_str());
     } else if (arg == "--log-level" && value(v)) {
       flags.log_level = v;
     } else {

@@ -22,6 +22,11 @@
 # struct-mode twin or allocates more than 10 heap blocks per simulated
 # event — the codec-tax ceiling, enforced independently of the committed
 # baseline numbers.
+#
+# It also gates the real runtime: bench_sockets --check BENCH_sockets.json
+# reruns the paced loopback-TCP topology (fdatasync'ed WALs) and fails
+# unless delivery is exactly-once and e2e p99 stays under the gate the
+# committed file records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,7 +34,7 @@ TOLERANCE="${1:-0.15}"
 REPS="${2:-3}"
 
 cmake --preset release
-cmake --build --preset release -j "$(nproc)" --target bench_wallclock bench_scale_1m
+cmake --build --preset release -j "$(nproc)" --target bench_wallclock bench_scale_1m bench_sockets
 
 ./build-release/bench/bench_wallclock \
   --out BENCH_substrate.json.new \
@@ -70,3 +75,7 @@ if ! grep -qF '"latency": {' BENCH_churn_storm.json; then
   echo "ERROR: committed BENCH_churn_storm.json has no latency block" >&2
   exit 1
 fi
+
+# Real runtime: exactly-once and the e2e p99 gate recorded in
+# BENCH_sockets.json (re-record with --out BENCH_sockets.json).
+./build-release/bench/bench_sockets --check BENCH_sockets.json

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Chaos soak under ASan+UBSan: builds the sanitizer preset and runs N seeded
-# fault schedules plus the chaos, socket and wire test suites. Any invariant
+# fault schedules plus the chaos, socket, durability and wire test suites,
+# then runs the socket and power-loss durability suites again under
+# ThreadSanitizer (the real runtime's syncer threads). Any invariant
 # violation prints the offending seed and its decoded fault timeline; rerun with
 #   bench_chaos_soak 1 <seed>
 # (or ChaosConfig{.seed = <seed>} in a test) to replay it exactly.
@@ -14,7 +16,7 @@ FIRST_SEED="${2:-1}"
 HORIZON_S="${3:-10}"
 
 cmake --preset asan-ubsan
-cmake --build --preset asan-ubsan -j "$(nproc)" --target test_chaos test_net test_wire gryphon_broker_cli bench_chaos_soak bench_wallclock bench_recovery_fuzz bench_churn_storm bench_scale_1m gryphon_report
+cmake --build --preset asan-ubsan -j "$(nproc)" --target test_chaos test_net test_durability test_wire gryphon_broker_cli bench_chaos_soak bench_wallclock bench_recovery_fuzz bench_churn_storm bench_scale_1m gryphon_report
 
 echo "== chaos test suite (asan-ubsan) =="
 ./build-asan/tests/test_chaos
@@ -23,7 +25,17 @@ echo "== socket and wire suites (asan-ubsan) =="
 # Real sockets (reassembly, connection close paths, the forked broker smoke
 # topology) and the frame/payload codec, with the sanitizers watching.
 GRYPHON_BROKER_BIN=./build-asan/tools/gryphon_broker ./build-asan/tests/test_net
+./build-asan/tests/test_durability
 ./build-asan/tests/test_wire
+
+echo "== socket and durability suites (tsan) =="
+# The first second thread in a broker process: each node's fdatasync syncer
+# hands completions back to the event loop through an eventfd. TSan checks
+# that hand-off, the shared Logger and the held-open segment files.
+cmake --preset tsan
+cmake --build --preset tsan -j "$(nproc)" --target test_net test_durability gryphon_broker_cli
+GRYPHON_BROKER_BIN=./build-tsan/tools/gryphon_broker ./build-tsan/tests/test_net
+./build-tsan/tests/test_durability
 
 echo "== substrate smoke (asan-ubsan): bench_wallclock 1 seed =="
 ./build-asan/bench/bench_wallclock --smoke
