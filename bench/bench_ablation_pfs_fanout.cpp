@@ -27,7 +27,7 @@ std::vector<SubscriberId> first_n(int n) {
 
 RunResult run_pfs(int fanout) {
   sim::Simulator sim;
-  sim::Network net(sim);
+  sim::LinkNetwork net(sim);
   core::BrokerConfig broker;
   core::NodeResources node(sim, net, "shb", broker, paper_config().shb_disk);
   core::CostModel costs;
@@ -45,7 +45,7 @@ RunResult run_pfs(int fanout) {
 
 RunResult run_baseline(int fanout) {
   sim::Simulator sim;
-  sim::Network net(sim);
+  sim::LinkNetwork net(sim);
   core::BrokerConfig broker;
   core::NodeResources node(sim, net, "shb", broker, paper_config().shb_disk);
   core::PerSubscriberEventLog log(node.log_volume);

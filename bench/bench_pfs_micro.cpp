@@ -70,7 +70,7 @@ double replay(sim::Simulator& sim, AppendBatch&& append_one, Sync&& sync) {
 
 RunResult run_pfs() {
   sim::Simulator sim;
-  sim::Network net(sim);
+  sim::LinkNetwork net(sim);
   core::BrokerConfig broker;
   auto disk_config = paper_config().shb_disk;
   core::NodeResources node(sim, net, "shb", broker, disk_config);
@@ -95,7 +95,7 @@ RunResult run_pfs() {
 
 RunResult run_baseline() {
   sim::Simulator sim;
-  sim::Network net(sim);
+  sim::LinkNetwork net(sim);
   core::BrokerConfig broker;
   auto disk_config = paper_config().shb_disk;
   core::NodeResources node(sim, net, "shb", broker, disk_config);

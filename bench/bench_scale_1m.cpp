@@ -238,7 +238,7 @@ IndexScaleResult run_index_scale(std::size_t n) {
 /// never collide between the shard variants).
 struct PfsRig {
   sim::Simulator sim;
-  sim::Network net{sim};
+  sim::LinkNetwork net{sim};
   core::BrokerConfig config{};
   core::NodeResources node{sim, net, "shb", config,
                            storage::DiskConfig{msec(2), 1e9, 1e9, msec(1)}};

@@ -11,8 +11,8 @@ namespace {
 std::uint32_t next_producer_id = 1'000'000;
 }  // namespace
 
-Session::Session(sim::Scheduler& scheduler, sim::Network& network, sim::EndpointId phb,
-                 sim::EndpointId shb, AcknowledgeMode mode)
+Session::Session(sim::Scheduler& scheduler, sim::LinkNetwork& network,
+                 sim::EndpointId phb, sim::EndpointId shb, AcknowledgeMode mode)
     : sim_(scheduler), net_(network), phb_(phb), shb_(shb), mode_(mode) {}
 
 // ----------------------------------------------------------- MessageProducer

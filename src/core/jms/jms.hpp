@@ -109,7 +109,7 @@ class TopicSubscriber {
 
 class Session {
  public:
-  Session(sim::Scheduler& scheduler, sim::Network& network, sim::EndpointId phb,
+  Session(sim::Scheduler& scheduler, sim::LinkNetwork& network, sim::EndpointId phb,
           sim::EndpointId shb, AcknowledgeMode mode);
 
   [[nodiscard]] std::unique_ptr<MessageProducer> create_producer(Topic topic) {
@@ -122,14 +122,14 @@ class Session {
       SubscriberId id, const std::string& selector, MessageListener listener);
 
   [[nodiscard]] sim::Scheduler& scheduler() { return sim_; }
-  [[nodiscard]] sim::Network& network() { return net_; }
+  [[nodiscard]] sim::LinkNetwork& network() { return net_; }
   [[nodiscard]] sim::EndpointId phb() const { return phb_; }
   [[nodiscard]] sim::EndpointId shb() const { return shb_; }
   [[nodiscard]] AcknowledgeMode mode() const { return mode_; }
 
  private:
   sim::Scheduler& sim_;
-  sim::Network& net_;
+  sim::LinkNetwork& net_;
   sim::EndpointId phb_;
   sim::EndpointId shb_;
   AcknowledgeMode mode_;
@@ -137,7 +137,7 @@ class Session {
 
 class Connection {
  public:
-  Connection(sim::Scheduler& scheduler, sim::Network& network, sim::EndpointId phb,
+  Connection(sim::Scheduler& scheduler, sim::LinkNetwork& network, sim::EndpointId phb,
              sim::EndpointId shb)
       : sim_(scheduler), net_(network), phb_(phb), shb_(shb) {}
 
@@ -147,14 +147,14 @@ class Connection {
 
  private:
   sim::Scheduler& sim_;
-  sim::Network& net_;
+  sim::LinkNetwork& net_;
   sim::EndpointId phb_;
   sim::EndpointId shb_;
 };
 
 class ConnectionFactory {
  public:
-  ConnectionFactory(sim::Scheduler& scheduler, sim::Network& network,
+  ConnectionFactory(sim::Scheduler& scheduler, sim::LinkNetwork& network,
                     sim::EndpointId phb, sim::EndpointId shb)
       : sim_(scheduler), net_(network), phb_(phb), shb_(shb) {}
 
@@ -164,7 +164,7 @@ class ConnectionFactory {
 
  private:
   sim::Scheduler& sim_;
-  sim::Network& net_;
+  sim::LinkNetwork& net_;
   sim::EndpointId phb_;
   sim::EndpointId shb_;
 };

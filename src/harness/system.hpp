@@ -83,7 +83,7 @@ class System {
   explicit System(SystemConfig config);
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] sim::Network& network() { return net_; }
+  [[nodiscard]] sim::LinkNetwork& network() { return net_; }
   [[nodiscard]] DeliveryOracle& oracle() { return oracle_; }
 
   [[nodiscard]] core::PublisherHostingBroker& phb() { return *phb_; }
@@ -225,7 +225,7 @@ class System {
 
   SystemConfig config_;
   sim::Simulator sim_;
-  sim::Network net_;
+  sim::LinkNetwork net_;
   /// Owned transport installed into net_ (nullptr in struct mode: the
   /// Network's no-transport path is already the struct pass-through).
   std::unique_ptr<sim::Transport> transport_;

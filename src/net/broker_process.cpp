@@ -15,11 +15,7 @@ namespace gryphon::net {
 
 namespace {
 
-// Proxy links only model the in-process hop between the role endpoint and
-// the socket; the real network cost is the socket itself.
-constexpr sim::LinkConfig kProxyLink{/*latency=*/0,
-                                     /*bandwidth_bytes_per_sec=*/1e12};
-
+constexpr char kParent[] = "__parent";  // the peers_ slot of the upstream link
 constexpr SimDuration kRedialDelay = msec(300);
 constexpr SimDuration kClientPollInterval = msec(20);
 
@@ -52,23 +48,21 @@ core::Publisher::EventFactory make_event_factory(int groups,
 BrokerProcess::BrokerProcess(EventLoop& loop, ProcessOptions options)
     : loop_(loop),
       options_(std::move(options)),
-      net_(std::make_unique<sim::Network>(loop)),
-      transport_(options_.codec) {
+      net_(options_.codec) {
   GRYPHON_CHECK_MSG(is_broker() || is_client(),
                     "unknown role '" << options_.role << "'");
-  net_->set_transport(&transport_);
 
   if (is_broker()) {
     setup_listener();
     adopted_ = !options_.storage.file_dir.empty() &&
                wal_dir_populated(options_.storage.file_dir);
     node_ = std::make_unique<core::NodeResources>(
-        loop_, *net_, options_.name, std::make_unique<InlineExecutor>(loop_),
+        loop_, net_, options_.name, std::make_unique<InlineExecutor>(loop_),
         std::make_unique<storage::FileDisk>(loop_, options_.name + ".disk"),
         options_.role == "shb" ? options_.shb_db_connections : 1, options_.storage);
     // Peer endpoints are numbered in hello order, which a restart need not
-    // repeat; their names ("proxy.<peer>") are stable.
-    node_->peer_key = [this](sim::EndpointId ep) { return net_->name_of(ep); };
+    // repeat; their names (the peers' own) are stable.
+    node_->peer_key = [this](sim::EndpointId ep) { return net_.name_of(ep); };
     storage::FileDisk& disk = *node_->file_disk();
     loop_.watch_fd(disk.completion_fd(), /*want_read=*/true, /*want_write=*/false,
                    [&disk](std::uint32_t) { disk.run_completions(); });
@@ -96,9 +90,12 @@ BrokerProcess::BrokerProcess(EventLoop& loop, ProcessOptions options)
     }
   }
 
+  sim::EndpointId parent = 0;
   if (options_.role != "phb") {
     GRYPHON_CHECK_MSG(options_.parent_port != 0,
                       options_.role << " requires a parent address");
+    parent = net_.add_peer("parent");
+    peers_[kParent] = Peer{"parent", parent, nullptr};
     // An intermediate holds its hello back until its own children are in:
     // the parent starts streaming the moment it sees a broker child's hello,
     // and stream data must never reach a broker that cannot start yet (its
@@ -115,21 +112,14 @@ BrokerProcess::BrokerProcess(EventLoop& loop, ProcessOptions options)
                          1);
     po.interval = core::Publisher::Options::kManualOnly;
     event_factory_ = make_event_factory(options_.groups, options_.payload_bytes);
-    publisher_ = std::make_unique<core::Publisher>(loop_, *net_, po, parent_proxy_,
+    publisher_ = std::make_unique<core::Publisher>(loop_, net_, po, parent,
                                                    event_factory_);
   } else if (options_.role == "sub") {
     core::DurableSubscriber::Options so;
     so.id = SubscriberId(options_.client_id);
     so.predicate = options_.predicate;
-    subscriber_ = std::make_unique<core::DurableSubscriber>(loop_, *net_, so,
-                                                            parent_proxy_,
+    subscriber_ = std::make_unique<core::DurableSubscriber>(loop_, net_, so, parent,
                                                             options_.observer);
-  }
-
-  // Client endpoints come to exist only now; link them to the parent proxy
-  // their dial_parent() call created above (brokers self-link in dial).
-  if (is_client() && parent_proxy_set_) {
-    net_->connect(local_endpoint(), parent_proxy_, kProxyLink);
   }
 
   maybe_start();  // a PHB expecting zero children starts immediately
@@ -143,9 +133,6 @@ BrokerProcess::~BrokerProcess() {
     loop_.unwatch_fd(disk.completion_fd());
     disk.stop();
   }
-  // The loop may outlive this process (an in-process restart) and still
-  // hold deliveries for its network.
-  sim::Network::retire(std::move(net_));
 }
 
 void BrokerProcess::after(SimDuration delay, void (BrokerProcess::*step)()) {
@@ -246,10 +233,10 @@ void BrokerProcess::on_hello(std::unique_ptr<Connection> conn,
       return;
     }
     // A child arriving after boot: a restarted peer resumes on its existing
-    // proxy; a genuinely new one is wired into the running broker.
+    // endpoint; a genuinely new one is wired into the running broker.
     if (!known) {
-      if (phb_ != nullptr) phb_->add_child(peer.proxy);
-      if (imb_ != nullptr) imb_->add_child(peer.proxy);
+      if (phb_ != nullptr) phb_->add_child(peer.endpoint);
+      if (imb_ != nullptr) imb_->add_child(peer.endpoint);
     }
     send_ready(peer);
     return;
@@ -260,38 +247,31 @@ void BrokerProcess::on_hello(std::unique_ptr<Connection> conn,
 BrokerProcess::Peer& BrokerProcess::attach_peer(const std::string& name,
                                                 const std::string& role,
                                                 std::unique_ptr<Connection> conn) {
-  Peer& peer = peers_[name];
+  auto [it, fresh] = peers_.try_emplace(name);
+  Peer& peer = it->second;
+  if (fresh) peer.endpoint = net_.add_peer(name);
+  detach(peer);  // a re-hello can beat the old connection's close
   peer.role = role;
-  if (!peer.proxy_set) {
-    peer.proxy_set = true;
-    peer.proxy = net_->add_endpoint(
-        "proxy." + name, [this, name](sim::EndpointId, sim::MessagePtr msg) {
-          auto it = peers_.find(name);
-          if (it == peers_.end() || it->second.conn == nullptr ||
-              !it->second.conn->is_open()) {
-            return;  // peer is away: the wire drops it, protocols repair
-          }
-          it->second.conn->send_bytes(msg->wire_bytes());
-        });
-    transport_.mark_proxy(peer.proxy);
-    net_->connect(local_endpoint(), peer.proxy, kProxyLink);
-  } else {
-    net_->set_down(peer.proxy, false);  // reconnect revives the proxy
-  }
   peer.conn = std::move(conn);
   peer.ready_sent = false;
-  wire_frame_sink(name, *peer.conn);
+  wire_frame_sink(peer.endpoint, *peer.conn);
   peer.conn->set_on_close(
       [this, name](const std::string& reason) { on_peer_closed(name, reason); });
   return peer;
 }
 
-void BrokerProcess::wire_frame_sink(const std::string& name, Connection& conn) {
-  conn.set_on_frame([this, name](std::shared_ptr<const sim::FrameMessage> frame) {
-    auto it = peers_.find(name);
-    if (it == peers_.end()) return;
-    net_->send(it->second.proxy, local_endpoint(), std::move(frame));
+void BrokerProcess::wire_frame_sink(sim::EndpointId peer, Connection& conn) {
+  conn.set_on_frame([this, peer](std::shared_ptr<const sim::FrameMessage> frame) {
+    net_.deliver(peer, local_endpoint(), std::move(frame));
   });
+}
+
+void BrokerProcess::detach(Peer& peer) {
+  net_.set_connection(peer.endpoint, nullptr);
+  if (peer.conn != nullptr) {
+    rejects_closed_ += peer.conn->reassembly_rejects();
+    peer.conn.reset();
+  }
 }
 
 void BrokerProcess::on_peer_closed(const std::string& name,
@@ -299,11 +279,7 @@ void BrokerProcess::on_peer_closed(const std::string& name,
   auto it = peers_.find(name);
   if (it == peers_.end()) return;
   GRYPHON_LOG(kInfo, options_.name, " lost peer " << name << ": " << reason);
-  net_->set_down(it->second.proxy, true);
-  if (it->second.conn != nullptr) {
-    rejects_closed_ += it->second.conn->reassembly_rejects();
-    it->second.conn.reset();
-  }
+  detach(it->second);
 }
 
 void BrokerProcess::dial_parent() {
@@ -315,30 +291,7 @@ void BrokerProcess::dial_parent() {
     after(kRedialDelay, &BrokerProcess::dial_parent);
     return;
   }
-  if (!parent_proxy_set_) {
-    parent_proxy_set_ = true;
-    parent_proxy_ = net_->add_endpoint(
-        "proxy.parent", [this](sim::EndpointId, sim::MessagePtr msg) {
-          auto it = peers_.find("__parent");
-          if (it == peers_.end() || it->second.conn == nullptr ||
-              !it->second.conn->is_open()) {
-            return;
-          }
-          it->second.conn->send_bytes(msg->wire_bytes());
-        });
-    transport_.mark_proxy(parent_proxy_);
-    // Brokers already own their role endpoint, so the role<->proxy link can
-    // be made here (an intermediate dials only once its children gate is
-    // satisfied, well after construction). Clients are built after the
-    // first dial; the constructor links them once the endpoint exists.
-    if (node_ != nullptr) {
-      net_->connect(local_endpoint(), parent_proxy_, kProxyLink);
-    }
-  }
-  Peer& peer = peers_["__parent"];
-  peer.role = "parent";
-  peer.proxy = parent_proxy_;
-  peer.proxy_set = true;
+  Peer& peer = peers_.at(kParent);
   peer.conn = std::make_unique<Connection>(loop_, fd, options_.name + "->parent",
                                            /*connecting=*/true);
   peer.conn->set_on_line([this](const std::string& line) {
@@ -347,17 +300,12 @@ void BrokerProcess::dial_parent() {
       return;
     }
     GRYPHON_LOG(kWarn, options_.name, " unexpected preamble '" << line << "'");
-    peers_["__parent"].conn->fail("bad preamble");
+    peers_.at(kParent).conn->fail("bad preamble");
   });
-  wire_frame_sink("__parent", *peer.conn);
+  wire_frame_sink(peer.endpoint, *peer.conn);
   peer.conn->set_on_close([this](const std::string& reason) {
     GRYPHON_LOG(kInfo, options_.name, " parent link down: " << reason);
-    net_->set_down(parent_proxy_, true);
-    auto it = peers_.find("__parent");
-    if (it != peers_.end() && it->second.conn != nullptr) {
-      rejects_closed_ += it->second.conn->reassembly_rejects();
-      it->second.conn.reset();
-    }
+    detach(peers_.at(kParent));
     if (subscriber_ != nullptr && started_) subscriber_->notify_connection_reset();
     after(kRedialDelay, &BrokerProcess::dial_parent);
   });
@@ -366,7 +314,8 @@ void BrokerProcess::dial_parent() {
 }
 
 void BrokerProcess::on_parent_ready() {
-  net_->set_down(parent_proxy_, false);
+  const Peer& parent = peers_.at(kParent);
+  net_.set_connection(parent.endpoint, parent.conn.get());
   parent_ready_ = true;
   maybe_start();
 }
@@ -391,15 +340,15 @@ void BrokerProcess::maybe_start() {
 void BrokerProcess::start_role() {
   for (auto& [name, peer] : peers_) {
     if (peer.role == "imb" || peer.role == "shb") {
-      if (phb_ != nullptr) phb_->add_child(peer.proxy);
-      if (imb_ != nullptr) imb_->add_child(peer.proxy);
+      if (phb_ != nullptr) phb_->add_child(peer.endpoint);
+      if (imb_ != nullptr) imb_->add_child(peer.endpoint);
     }
   }
   if (phb_ != nullptr) {
     if (adopted_) phb_->recover();
     phb_->start();
   } else if (imb_ != nullptr) {
-    imb_->set_parent(parent_proxy_);
+    imb_->set_parent(peers_.at(kParent).endpoint);
     if (adopted_) {
       imb_->recover();
       imb_->start(/*fresh=*/false);
@@ -407,7 +356,7 @@ void BrokerProcess::start_role() {
       imb_->start(/*fresh=*/true);
     }
   } else if (shb_ != nullptr) {
-    shb_->set_parent(parent_proxy_);
+    shb_->set_parent(peers_.at(kParent).endpoint);
     if (adopted_) {
       shb_->recover();  // resumes timers and re-nacks the missed span itself
     } else {
@@ -463,6 +412,7 @@ void BrokerProcess::send_ready(Peer& peer) {
   if (peer.ready_sent || peer.conn == nullptr || !peer.conn->is_open()) return;
   peer.conn->send_line("GRYREADY");
   peer.ready_sent = true;
+  net_.set_connection(peer.endpoint, peer.conn.get());
 }
 
 std::string BrokerProcess::result_json() const {
@@ -476,7 +426,7 @@ std::string BrokerProcess::result_json() const {
       << ",\"received\":"
       << (subscriber_ != nullptr ? subscriber_->events_received() : 0)
       << ",\"gaps\":" << (subscriber_ != nullptr ? subscriber_->gaps_received() : 0)
-      << ",\"decode_rejects\":" << net_->decode_rejects()
+      << ",\"decode_rejects\":" << net_.decode_rejects()
       << ",\"reassembly_rejects\":" << reassembly_rejects() << "}";
   return out.str();
 }

@@ -1,10 +1,9 @@
 // BrokerProcess — one gryphon process hosting a single role over TCP.
 //
 // This is the composition root of the stand-alone runtime: it owns the
-// per-process sim::Network (driven by the EventLoop scheduler instead of
-// the Simulator), installs a SocketTransport, and hosts exactly one role —
-// a PHB / intermediate / SHB broker, or a publisher / durable-subscriber
-// client driver.
+// process's SocketNetwork (driven by the EventLoop scheduler instead of
+// the Simulator) and hosts exactly one role — a PHB / intermediate / SHB
+// broker, or a publisher / durable-subscriber client driver.
 //
 // Host. A broker's NodeResources runs on the real host: an InlineExecutor
 // (handlers run FIFO on the event loop, no cost model) and a FileDisk
@@ -13,19 +12,16 @@
 // completion eventfd on the loop, so an ack leaves only after the fdatasync
 // covering its event returned.
 //
-// Topology model. Every remote peer is represented locally by a *proxy*
-// endpoint on this process's Network:
-//
-//     [role endpoint] <--zero-latency link--> [proxy ep] <--> TCP socket
-//
-// An outbound message is codec-encoded by the SocketTransport on its way
-// to the proxy, whose delivery handler writes the frame bytes to the
-// peer's Connection. Inbound frames are injected as sends from the proxy
-// to the role endpoint and codec-decoded on delivery (corruption counts a
-// decode reject at the Network, exactly as in the simulation). The broker
-// and client state machines are byte-for-byte the code the simulator runs;
-// no EndpointId ever crosses the wire, so per-process endpoint numbering
-// is free to differ on every host.
+// Topology model. The SocketNetwork holds the role's endpoint plus one
+// endpoint per remote peer, named after the peer. send() codec-encodes an
+// outbound message and writes it to the peer's Connection; the
+// connection's read callback hands each inbound frame to deliver(), which
+// decodes it (corruption counts a decode reject, exactly as in the
+// simulation) and calls the role. Brokers still queue their handlers
+// through the InlineExecutor; client handlers run inline. The broker and
+// client state machines are byte-for-byte the code the simulator runs; no
+// EndpointId ever crosses the wire, so per-process endpoint numbering is
+// free to differ on every host.
 //
 // Handshake. The dialer opens with one text line `GRYHELLO <name> <role>`;
 // the acceptor answers `GRYREADY` only once its own role has started, and
@@ -33,8 +29,10 @@
 // settles root-first: the PHB starts once all expected broker children
 // have said hello; an intermediate needs its parent's READY plus its own
 // children; an SHB needs only its parent; clients drive traffic only after
-// their hosting broker's READY. Restarted peers re-hello under the same
-// name and are re-attached to their existing proxy endpoint.
+// their hosting broker's READY. The role's sends go out on a connection
+// only once READY has been sent (acceptor) or received (dialer); until
+// then they are dropped. Restarted peers re-hello under the same name and
+// are re-attached to their existing peer endpoint.
 //
 // Restart. When the WAL directory already holds segments from a previous
 // incarnation, the process adopts them (LogVolume/Database::adopt — a
@@ -56,15 +54,14 @@
 #include "core/shb.hpp"
 #include "core/subscriber_client.hpp"
 #include "net/event_loop.hpp"
-#include "net/socket_transport.hpp"
+#include "net/socket_network.hpp"
 #include "net/tcp.hpp"
-#include "sim/network.hpp"
 #include "storage/storage_backend.hpp"
 
 namespace gryphon::net {
 
 struct ProcessOptions {
-  std::string name;  // unique across the topology; keys proxy reuse on re-hello
+  std::string name;  // unique across the topology; a re-hello reattaches by it
   std::string role;  // "phb" | "imb" | "shb" | "pub" | "sub"
 
   // Brokers listen; everyone except the PHB dials a parent.
@@ -121,7 +118,7 @@ class BrokerProcess {
   [[nodiscard]] core::SubscriberHostingBroker* shb() { return shb_.get(); }
   [[nodiscard]] core::PublisherHostingBroker* phb() { return phb_.get(); }
   [[nodiscard]] core::IntermediateBroker* imb() { return imb_.get(); }
-  [[nodiscard]] sim::Network& network() { return *net_; }
+  [[nodiscard]] sim::Network& network() { return net_; }
   [[nodiscard]] core::NodeResources* node() { return node_.get(); }
 
   /// Frame-reassembly rejects across all peer connections, living and dead.
@@ -130,8 +127,7 @@ class BrokerProcess {
  private:
   struct Peer {
     std::string role;
-    sim::EndpointId proxy = 0;
-    bool proxy_set = false;  // id 0 is valid; see parent_proxy_set_
+    sim::EndpointId endpoint = 0;
     std::unique_ptr<Connection> conn;
     bool ready_sent = false;  // acceptor side: READY already queued on conn
   };
@@ -144,11 +140,13 @@ class BrokerProcess {
   void dial_parent();
   void adopt_socket(int fd);
   void on_hello(std::unique_ptr<Connection> conn, const std::string& line);
-  /// Attaches a live connection to `name`'s peer slot, creating the proxy
-  /// endpoint + link on first sight and reviving it on reconnect.
+  /// Attaches a live connection to `name`'s peer slot, creating its
+  /// endpoint on first sight.
   Peer& attach_peer(const std::string& name, const std::string& role,
                     std::unique_ptr<Connection> conn);
-  void wire_frame_sink(const std::string& name, Connection& conn);
+  void wire_frame_sink(sim::EndpointId peer, Connection& conn);
+  /// Drops a peer's dead connection; its sends fail until it reattaches.
+  void detach(Peer& peer);
   void on_peer_closed(const std::string& name, const std::string& reason);
   void on_parent_ready();
   void maybe_start();
@@ -162,23 +160,17 @@ class BrokerProcess {
 
   EventLoop& loop_;
   ProcessOptions options_;
-  std::unique_ptr<sim::Network> net_;  // retired, not freed, by the destructor
-  SocketTransport transport_;
+  SocketNetwork net_;  // outlives the roles and connections declared below
   std::shared_ptr<int> alive_ = std::make_shared<int>(0);
 
   std::unique_ptr<TcpListener> listener_;
-  int listen_fd_ = -1;
   // Accepted connections that have not said hello yet (owned here until the
   // preamble names them).
   std::vector<std::unique_ptr<Connection>> pending_;
   std::map<std::string, Peer> peers_;
   std::uint64_t rejects_closed_ = 0;  // reassembly rejects of dead connections
 
-  // Parent link (dialer side). EndpointId 0 is a valid id (the first
-  // endpoint a client process creates IS the parent proxy), so creation is
-  // tracked by flag, not by sentinel value.
-  sim::EndpointId parent_proxy_ = 0;
-  bool parent_proxy_set_ = false;
+  // Parent link (dialer side): the peer "__parent" in peers_.
   bool parent_dial_started_ = false;  // first dial issued (redials reuse it)
   bool parent_ready_ = false;
   int children_seen_ = 0;

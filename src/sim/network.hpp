@@ -1,3 +1,124 @@
+// Network — the endpoint table every protocol object sends through. The
+// base holds what both worlds share: endpoints, the Transport seam
+// (sim/transport.hpp), the per-endpoint wire counters behind the net.*
+// probes, and deliver(). send() is its one virtual:
+//  * LinkNetwork (below): the simulator's links, scheduled on the simulator.
+//  * net::SocketNetwork (src/net/socket_network.hpp): the real runtime,
+//    which writes each send to the peer's TCP connection inside the call.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "sim/message.hpp"
+#include "sim/scheduler.hpp"
+#include "sim/transport.hpp"
+#include "util/assert.hpp"
+
+namespace gryphon::sim {
+
+class Network {
+ public:
+  /// Receives (source endpoint, message).
+  using Handler = std::function<void(EndpointId, MessagePtr)>;
+
+  Network() = default;
+  virtual ~Network() = default;
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
+
+  /// Installs the transport every send/delivery is translated through. The
+  /// default (none installed) behaves like StructTransport. The transport
+  /// must outlive the network.
+  void set_transport(Transport* transport) { transport_ = transport; }
+  [[nodiscard]] Transport* transport() const { return transport_; }
+
+  /// Registers an endpoint. The handler is invoked at delivery time.
+  EndpointId add_endpoint(std::string name, Handler handler);
+
+  /// Sends a message. Returns false when the send is refused; a true return
+  /// still only means "handed to the wire".
+  virtual bool send(EndpointId from, EndpointId to, MessagePtr msg) = 0;
+
+  /// Hands a message that reached `to` over the wire to its endpoint:
+  /// from_wire(), then the handler, or a counted decode reject (dropped
+  /// like a lost message) when the transport cannot decode it.
+  void deliver(EndpointId from, EndpointId to, MessagePtr msg);
+
+  /// Marks an endpoint down (a crashed broker): a LinkNetwork refuses its
+  /// sends and drops what is queued or in flight to it.
+  void set_down(EndpointId id, bool down);
+
+  [[nodiscard]] const std::string& name_of(EndpointId id) const;
+
+  /// Total messages/bytes ever delivered (diagnostics & tests).
+  [[nodiscard]] std::uint64_t delivered_messages() const { return delivered_msgs_; }
+  [[nodiscard]] std::uint64_t delivered_bytes() const { return delivered_bytes_; }
+
+  /// Messages/bytes delivered per destination endpoint.
+  [[nodiscard]] std::uint64_t delivered_messages_to(EndpointId id) const;
+  [[nodiscard]] std::uint64_t delivered_bytes_to(EndpointId id) const;
+
+  /// Messages/bytes accepted onto the wire per source endpoint.
+  [[nodiscard]] std::uint64_t sent_messages_from(EndpointId id) const;
+  [[nodiscard]] std::uint64_t sent_bytes_from(EndpointId id) const;
+
+  /// Deliveries the transport rejected (corrupt frame) at this endpoint.
+  [[nodiscard]] std::uint64_t decode_rejects_at(EndpointId id) const;
+
+  /// Byte frames put on the wire by this endpoint / decoded at it (zero in
+  /// struct mode — these count FrameMessages, i.e. codec-transport work).
+  [[nodiscard]] std::uint64_t frames_encoded_from(EndpointId id) const;
+  [[nodiscard]] std::uint64_t frames_decoded_at(EndpointId id) const;
+
+  /// Total transport decode rejects.
+  [[nodiscard]] std::uint64_t decode_rejects() const { return decode_rejects_; }
+
+ protected:
+  struct Endpoint {
+    std::string name;
+    Handler handler;
+    bool down = false;
+    std::uint64_t epoch = 0;  // bumped on set_down(true); stale deliveries drop
+    std::uint64_t delivered_msgs = 0;
+    std::uint64_t delivered_bytes = 0;
+    std::uint64_t sent_msgs = 0;
+    std::uint64_t sent_bytes = 0;
+    std::uint64_t decode_rejects = 0;
+    std::uint64_t frames_encoded = 0;
+    std::uint64_t frames_decoded = 0;
+  };
+
+  Endpoint& endpoint(EndpointId id) {
+    GRYPHON_CHECK_MSG(id < endpoints_.size(), "unknown endpoint " << id);
+    return endpoints_[id];
+  }
+  [[nodiscard]] const Endpoint& endpoint(EndpointId id) const {
+    GRYPHON_CHECK_MSG(id < endpoints_.size(), "unknown endpoint " << id);
+    return endpoints_[id];
+  }
+
+  /// Replaces an outgoing message with its wire form (Transport::to_wire)
+  /// and counts it as sent from `from`. Returns its wire size, which a
+  /// struct message computes by running its encoder.
+  std::size_t to_wire(EndpointId from, EndpointId to, MessagePtr& msg);
+
+ private:
+  Transport* transport_ = nullptr;
+  std::vector<Endpoint> endpoints_;
+  std::uint64_t delivered_msgs_ = 0;
+  std::uint64_t delivered_bytes_ = 0;
+  std::uint64_t decode_rejects_ = 0;
+};
+
+struct LinkConfig {
+  SimDuration latency = msec(1);
+  double bandwidth_bytes_per_sec = 1e9;  // effectively unconstrained default
+};
+
 // Simulated network of reliable FIFO point-to-point links (TCP stand-in).
 //
 // Semantics the protocols rely on, and which this class guarantees:
@@ -10,6 +131,7 @@
 // Latency model per message: arrival = departure + latency, where
 // departure = max(send time, link free time) + wire_size/bandwidth. The link
 // serializes messages, so a burst queues behind itself like a socket buffer.
+// to_wire() runs at send time, before the bandwidth model prices the message.
 //
 // Fault injection (link level, endpoints stay alive):
 //  * partition(a, b) severs the link in both directions: everything in
@@ -27,52 +149,9 @@
 //    corruption window are dropped outright, the closest struct-mode
 //    equivalent. A mangled frame that the transport then rejects is counted
 //    as a decode reject at the destination and dropped like a lost message.
-//
-// All traffic crosses the Transport seam (sim/transport.hpp): to_wire() at
-// send time — before the bandwidth model prices the message — and
-// from_wire() at delivery time, before the endpoint handler runs.
-#pragma once
-
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <string>
-#include <unordered_map>
-#include <vector>
-
-#include "sim/message.hpp"
-#include "sim/scheduler.hpp"
-#include "sim/transport.hpp"
-#include "util/assert.hpp"
-
-namespace gryphon::sim {
-
-struct LinkConfig {
-  SimDuration latency = msec(1);
-  double bandwidth_bytes_per_sec = 1e9;  // effectively unconstrained default
-};
-
-class Network {
+class LinkNetwork final : public Network {
  public:
-  /// Receives (source endpoint, message).
-  using Handler = std::function<void(EndpointId, MessagePtr)>;
-
-  explicit Network(Scheduler& scheduler) : sim_(scheduler) {}
-  Network(const Network&) = delete;
-  Network& operator=(const Network&) = delete;
-
-  /// Installs the transport every send/delivery is translated through. The
-  /// default (none installed) behaves like StructTransport. The transport
-  /// must outlive the network.
-  void set_transport(Transport* transport) { transport_ = transport; }
-  [[nodiscard]] Transport* transport() const { return transport_; }
-
-  /// Registers an endpoint. The handler is invoked at delivery time.
-  EndpointId add_endpoint(std::string name, Handler handler);
-
-  /// Replaces an endpoint's handler (used when a broker restarts as a fresh
-  /// object on the same address).
-  void set_handler(EndpointId id, Handler handler);
+  explicit LinkNetwork(Scheduler& scheduler) : sim_(scheduler) {}
 
   /// Creates a bidirectional link. Both directions share the config but have
   /// independent FIFO queues.
@@ -80,17 +159,11 @@ class Network {
 
   [[nodiscard]] bool are_connected(EndpointId a, EndpointId b) const;
 
-  /// Sends a message. Requires a link. Returns false when the send is
-  /// refused (sender down or link partitioned); a true return still only
-  /// means "handed to the wire" — delivery is dropped if the destination is
-  /// down at (or goes down before) arrival, or the link partitions before
+  /// Requires a link. Returns false when the send is refused (sender down
+  /// or link partitioned). Delivery is dropped if the destination is down
+  /// at (or goes down before) arrival, or the link partitions before
   /// arrival.
-  bool send(EndpointId from, EndpointId to, MessagePtr msg);
-
-  /// Marks an endpoint down: queued and in-flight messages to it are dropped
-  /// on arrival, and nothing can be sent from it.
-  void set_down(EndpointId id, bool down);
-  [[nodiscard]] bool is_down(EndpointId id) const;
+  bool send(EndpointId from, EndpointId to, MessagePtr msg) override;
 
   /// Severs the a<->b link without touching either endpoint. In-flight
   /// messages (both directions) are dropped; sends are refused until heal().
@@ -129,56 +202,13 @@ class Network {
   /// Disarms any remaining corruption budget on the directed from->to link.
   void clear_corruption(EndpointId from, EndpointId to);
 
-  [[nodiscard]] const std::string& name_of(EndpointId id) const;
-
-  /// Frees `net` once the scheduler has run every delivery it still has in
-  /// flight. Every endpoint goes down now, so those deliveries are dropped
-  /// without touching a handler or the transport: the endpoints' owners may
-  /// die first (a process torn down while its scheduler keeps running).
-  static void retire(std::unique_ptr<Network> net);
-
-  /// Total messages/bytes ever delivered (diagnostics & tests).
-  [[nodiscard]] std::uint64_t delivered_messages() const { return delivered_msgs_; }
-  [[nodiscard]] std::uint64_t delivered_bytes() const { return delivered_bytes_; }
-
-  /// Messages/bytes delivered per destination endpoint.
-  [[nodiscard]] std::uint64_t delivered_messages_to(EndpointId id) const;
-  [[nodiscard]] std::uint64_t delivered_bytes_to(EndpointId id) const;
-
-  /// Messages/bytes accepted onto the wire per source endpoint.
-  [[nodiscard]] std::uint64_t sent_messages_from(EndpointId id) const;
-  [[nodiscard]] std::uint64_t sent_bytes_from(EndpointId id) const;
-
-  /// Deliveries the transport rejected (corrupt frame) at this endpoint.
-  [[nodiscard]] std::uint64_t decode_rejects_at(EndpointId id) const;
-
-  /// Byte frames put on the wire by this endpoint / decoded at it (zero in
-  /// struct mode — these count FrameMessages, i.e. codec-transport work).
-  [[nodiscard]] std::uint64_t frames_encoded_from(EndpointId id) const;
-  [[nodiscard]] std::uint64_t frames_decoded_at(EndpointId id) const;
-
   /// Sends refused because the link was partitioned (diagnostics & tests).
   [[nodiscard]] std::uint64_t refused_sends() const { return refused_sends_; }
 
-  /// Total transport decode rejects / frames mangled by corrupt_frames().
-  [[nodiscard]] std::uint64_t decode_rejects() const { return decode_rejects_; }
+  /// Frames mangled by corrupt_frames().
   [[nodiscard]] std::uint64_t corrupted_frames() const { return corrupted_frames_; }
 
  private:
-  struct Endpoint {
-    std::string name;
-    Handler handler;
-    bool down = false;
-    std::uint64_t epoch = 0;  // bumped on set_down(true); stale deliveries drop
-    std::uint64_t delivered_msgs = 0;
-    std::uint64_t delivered_bytes = 0;
-    std::uint64_t sent_msgs = 0;
-    std::uint64_t sent_bytes = 0;
-    std::uint64_t decode_rejects = 0;
-    std::uint64_t frames_encoded = 0;
-    std::uint64_t frames_decoded = 0;
-  };
-
   struct Link {
     LinkConfig config;        // effective (possibly degraded) parameters
     LinkConfig base;          // connect()-time parameters, for restore()
@@ -194,15 +224,6 @@ class Network {
     return (static_cast<std::uint64_t>(a) << 32) | b;
   }
 
-  Endpoint& endpoint(EndpointId id) {
-    GRYPHON_CHECK_MSG(id < endpoints_.size(), "unknown endpoint " << id);
-    return endpoints_[id];
-  }
-  [[nodiscard]] const Endpoint& endpoint(EndpointId id) const {
-    GRYPHON_CHECK_MSG(id < endpoints_.size(), "unknown endpoint " << id);
-    return endpoints_[id];
-  }
-
   Link& link(EndpointId a, EndpointId b);
   [[nodiscard]] const Link& link(EndpointId a, EndpointId b) const;
 
@@ -211,14 +232,8 @@ class Network {
   [[nodiscard]] MessagePtr mangle(Link& l, const MessagePtr& msg);
 
   Scheduler& sim_;
-  Transport* transport_ = nullptr;
-  std::vector<Endpoint> endpoints_;
   std::unordered_map<std::uint64_t, Link> links_;
-  std::uint64_t delivered_msgs_ = 0;
-  std::uint64_t delivered_bytes_ = 0;
   std::uint64_t refused_sends_ = 0;
-  SimTime last_arrival_ = 0;  // latest delivery ever scheduled (retire())
-  std::uint64_t decode_rejects_ = 0;
   std::uint64_t corrupted_frames_ = 0;
 };
 

@@ -1,11 +1,14 @@
-// Transport — the seam between protocol endpoints and the Network's links.
+// Transport — the seam between protocol endpoints and the wire.
 //
-// Every message handed to Network::send passes through to_wire() before the
-// latency/bandwidth model sees it, and every delivery passes through
-// from_wire() before the endpoint handler runs. The two implementations:
+// Both Network implementations (sim/network.hpp) translate every message
+// through it exactly once each way: to_wire() inside send() — before
+// sim::LinkNetwork's bandwidth model prices it, or before
+// net::SocketNetwork writes the frame to the peer's socket — and
+// from_wire() inside deliver(), before the endpoint handler runs. The two
+// transports:
 //
 //  * StructTransport (default): pass-through. Messages travel as shared
-//    in-memory structs — today's simulation fast path, schedules unchanged.
+//    in-memory structs — the simulation fast path.
 //  * wire::CodecTransport (src/wire/): every send is encoded into a
 //    versioned, CRC32C-framed byte frame (FrameMessage) and every receive is
 //    decoded back from those bytes. A frame that fails to decode is counted

@@ -183,7 +183,7 @@ TEST(ReleasePolicy, MaxRetainHonorsTdAndRetention) {
 
 struct PubendFixture : ::testing::Test {
   sim::Simulator sim;
-  sim::Network net{sim};
+  sim::LinkNetwork net{sim};
   BrokerConfig config{};
   NodeResources node{sim, net, "phb", config, storage::DiskConfig{msec(2), 1e9, 1e9, msec(1)}};
 };

@@ -193,7 +193,7 @@ TEST(Oracle, FlagsAMissedEventInsideTheHorizon) {
   // Feed the oracle a consistent history, then advance the subscriber's CT
   // past an undelivered matching event: verify() must flag exactly it.
   sim::Simulator sim;
-  sim::Network net(sim);
+  sim::LinkNetwork net(sim);
   harness::DeliveryOracle oracle(sim);
 
   core::DurableSubscriber::Options options;
@@ -224,7 +224,7 @@ TEST(Oracle, FlagsAMissedEventInsideTheHorizon) {
 
 TEST(Oracle, GapNotificationExcusesAMiss) {
   sim::Simulator sim;
-  sim::Network net(sim);
+  sim::LinkNetwork net(sim);
   harness::DeliveryOracle oracle(sim);
   core::DurableSubscriber::Options options;
   options.id = SubscriberId{1};
@@ -250,7 +250,7 @@ TEST(Oracle, GapNotificationExcusesAMiss) {
 
 TEST(Oracle, RejectsDuplicateAndSpuriousDeliveries) {
   sim::Simulator sim;
-  sim::Network net(sim);
+  sim::LinkNetwork net(sim);
   harness::DeliveryOracle oracle(sim);
   core::DurableSubscriber::Options options;
   options.id = SubscriberId{1};
@@ -272,7 +272,7 @@ TEST(Oracle, RejectsDuplicateAndSpuriousDeliveries) {
 
 TEST(Oracle, ClientRejectsNonMonotonicDeliveryOnTheWire) {
   sim::Simulator sim;
-  sim::Network net(sim);
+  sim::LinkNetwork net(sim);
   sim::EndpointId client_ep = 0;
   const auto shb = net.add_endpoint("fake-shb", [](sim::EndpointId, sim::MessagePtr) {});
   core::DurableSubscriber::Options options;

@@ -1,6 +1,7 @@
 // Tests for the real-socket runtime (src/net): frame reassembly over every
 // possible TCP fragmentation, the poll-based event loop's Scheduler
-// contract, loopback Connections, and a forked two-broker smoke topology
+// contract, loopback Connections, the SocketNetwork and the Transport seam
+// of in-process BrokerProcess roles, and a forked two-broker smoke topology
 // driven through the actual gryphon_broker binary.
 
 #include <gtest/gtest.h>
@@ -12,17 +13,24 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "core/client_observer.hpp"
 #include "core/messages.hpp"
+#include "net/broker_process.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame_stream.hpp"
+#include "net/socket_network.hpp"
 #include "net/tcp.hpp"
+#include "util/logging.hpp"
+#include "wire/codec_transport.hpp"
 #include "wire/frame.hpp"
 
 namespace gryphon {
@@ -357,6 +365,264 @@ TEST(Connection, SendIntoAResetPeerSurvivesOnCloseDestroyingTheConnection) {
   EXPECT_FALSE(reason.empty());
 }
 
+// A frame whose CRC and kind are valid but whose payload is no
+// EventDelivery: it survives reassembly and only the codec can reject it.
+std::vector<std::byte> undecodable_frame() {
+  std::vector<std::byte> bad;
+  wire::append_frame(bad, static_cast<std::uint8_t>(core::MsgKind::kEventDelivery), {});
+  return bad;
+}
+
+void write_all(int fd, std::span<const std::byte> bytes) {
+  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+// The far end of a socketpair plays the peer process: what it writes is
+// decoded and handled inside one loop tick, and what the local endpoint
+// sends is on the socket when send() returns.
+TEST(SocketNetwork, FramesCrossASocketpairWithNoLoopTimer) {
+  net::EventLoop loop;
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
+  net::SocketNetwork net(wire::CodecTransport::Options{.verify_every = 1});
+  std::vector<sim::MessagePtr> handled;
+  const sim::EndpointId local =
+      net.add_endpoint("local", [&](sim::EndpointId, sim::MessagePtr msg) {
+        handled.push_back(std::move(msg));
+      });
+  const sim::EndpointId peer = net.add_peer("peer");
+  const sim::EndpointId absent = net.add_peer("absent");
+  net::Connection conn(loop, fds[0], "local", /*connecting=*/false);
+  conn.set_on_frame([&](std::shared_ptr<const sim::FrameMessage> frame) {
+    net.deliver(peer, local, std::move(frame));
+  });
+  conn.set_on_close([](const std::string&) {});
+  conn.start();
+  net.set_connection(peer, &conn);
+
+  const auto ack =
+      std::make_shared<core::AckMsg>(SubscriberId(7), core::CheckpointToken{});
+  wire::CodecTransport far_codec;
+  const sim::MessagePtr frame = far_codec.to_wire(peer, local, ack);
+  write_all(fds[1], bytes_of("GRYHELLO peer sub\n"));  // the preamble line
+  write_all(fds[1], frame->wire_bytes());
+  const std::uint64_t timers = loop.timers_fired();
+  loop.tick(msec(200));
+  ASSERT_EQ(handled.size(), 1u);
+  EXPECT_EQ(static_cast<const core::Msg&>(*handled[0]).kind(), core::MsgKind::kAck);
+  EXPECT_EQ(loop.timers_fired(), timers);
+  EXPECT_EQ(net.frames_decoded_at(local), 1u);
+
+  write_all(fds[1], undecodable_frame());
+  loop.tick(msec(200));
+  EXPECT_EQ(handled.size(), 1u);
+  EXPECT_EQ(net.decode_rejects(), 1u);
+  EXPECT_EQ(net.decode_rejects_at(local), 1u);
+  EXPECT_EQ(conn.reassembly_rejects(), 0u);
+
+  ASSERT_TRUE(net.send(local, peer, ack));
+  std::byte buf[4096];
+  const ssize_t n = ::read(fds[1], buf, sizeof buf);
+  ASSERT_GT(n, 0);
+  const auto parsed =
+      wire::parse_frame(std::span<const std::byte>(buf, static_cast<std::size_t>(n)));
+  EXPECT_EQ(parsed.consumed, static_cast<std::size_t>(n));
+  EXPECT_EQ(parsed.kind, static_cast<std::uint8_t>(core::MsgKind::kAck));
+  EXPECT_FALSE(net.send(local, absent, ack));
+  EXPECT_EQ(net.sent_messages_from(local), 1u);
+  ::close(fds[1]);
+}
+
+/// Runs the loop until `done` holds; false after `timeout_s`.
+template <typename Done>
+bool run_until(net::EventLoop& loop, Done done, double timeout_s) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::duration<double>(timeout_s);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    loop.tick(msec(2));
+  }
+  return true;
+}
+
+/// Wraps a role's transport and checks each crossing: to_wire() turns one
+/// protocol struct into one frame, from_wire() turns one frame into one
+/// struct. Frames are entered in a ledger shared by all roles when encoded
+/// and struck off when decoded, so a frame read without having been
+/// written by some role's to_wire(), or decoded twice, is caught.
+class SeamCounter final : public sim::Transport {
+ public:
+  SeamCounter(sim::Transport* inner, std::multiset<std::string>& ledger)
+      : inner_(inner), ledger_(ledger) {}
+
+  [[nodiscard]] const char* name() const override { return "seam-counter"; }
+
+  [[nodiscard]] sim::MessagePtr to_wire(sim::EndpointId from, sim::EndpointId to,
+                                        sim::MessagePtr msg) override {
+    ++to_wire_calls;
+    if (msg->wire_bytes().empty()) ++structs_encoded;
+    sim::MessagePtr out = inner_->to_wire(from, to, std::move(msg));
+    if (!out->wire_bytes().empty()) ledger_.insert(key(*out));
+    return out;
+  }
+
+  [[nodiscard]] sim::MessagePtr from_wire(sim::EndpointId from, sim::EndpointId to,
+                                          sim::MessagePtr msg) override {
+    ++from_wire_calls;
+    if (auto it = ledger_.find(key(*msg)); it != ledger_.end()) {
+      ledger_.erase(it);
+      ++ledger_hits;
+    }
+    sim::MessagePtr out = inner_->from_wire(from, to, std::move(msg));
+    if (out != nullptr && out->wire_bytes().empty()) {
+      ++structs_decoded;
+      if (static_cast<const core::Msg&>(*out).kind() == core::MsgKind::kEventDelivery) {
+        ++event_deliveries;
+      }
+    }
+    return out;
+  }
+
+  std::uint64_t to_wire_calls = 0;
+  std::uint64_t structs_encoded = 0;
+  std::uint64_t from_wire_calls = 0;
+  std::uint64_t ledger_hits = 0;
+  std::uint64_t structs_decoded = 0;
+  std::uint64_t event_deliveries = 0;
+
+ private:
+  static std::string key(const sim::Message& frame) {
+    const auto bytes = frame.wire_bytes();
+    return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+  }
+
+  sim::Transport* inner_;
+  std::multiset<std::string>& ledger_;
+};
+
+class EventCounter final : public core::SubscriberObserver {
+ public:
+  void on_event(SubscriberId, PubendId, Tick, const matching::EventDataPtr&, bool,
+                SimTime) override {
+    ++events;
+  }
+  std::uint64_t events = 0;
+};
+
+class InProcessRoles : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Logger::instance().set_level(LogLevel::kOff);
+    dir_ = std::filesystem::temp_directory_path() /
+           ("gryphon_net_roles." + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+  }
+  void TearDown() override {
+    for (auto& role : roles_) role.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  net::BrokerProcess& start(net::ProcessOptions options) {
+    if (options.role == "phb" || options.role == "shb") {
+      options.storage.file_dir = (dir_ / options.name).string();
+    }
+    roles_.push_back(std::make_unique<net::BrokerProcess>(loop_, std::move(options)));
+    return *roles_.back();
+  }
+
+  net::EventLoop loop_;
+  std::filesystem::path dir_;
+  // What the roles point at outlives them.
+  std::multiset<std::string> ledger_;
+  std::vector<std::unique_ptr<SeamCounter>> seams_;
+  EventCounter observer_;
+  std::vector<std::unique_ptr<net::BrokerProcess>> roles_;
+};
+
+// A peer that says hello and then sends an undecodable frame: the broker
+// counts one decode reject, reports it, and hands the role nothing.
+TEST_F(InProcessRoles, UndecodableFrameIsCountedInTheResult) {
+  net::ProcessOptions o;
+  o.name = "phb";
+  o.role = "phb";
+  net::BrokerProcess& phb = start(o);
+  ASSERT_TRUE(phb.started());
+
+  std::string err;
+  const int fd = net::tcp_connect_start("127.0.0.1", phb.port(), &err);
+  ASSERT_GE(fd, 0) << err;
+  net::Connection raw(loop_, fd, "raw", /*connecting=*/true);
+  raw.set_on_line([&](const std::string& line) {
+    if (line == "GRYREADY") raw.send_bytes(undecodable_frame());
+  });
+  raw.set_on_close([](const std::string&) {});
+  raw.start();
+  raw.send_line("GRYHELLO raw pub");
+
+  ASSERT_TRUE(run_until(loop_, [&] { return phb.network().decode_rejects() > 0; }, 10));
+  EXPECT_EQ(phb.network().decode_rejects(), 1u);
+  EXPECT_EQ(phb.reassembly_rejects(), 0u);
+  EXPECT_NE(phb.result_json().find("\"decode_rejects\":1"), std::string::npos)
+      << phb.result_json();
+  EXPECT_EQ(phb.network().frames_decoded_at(phb.node()->endpoint), 0u);
+}
+
+// PHB, SHB, publisher and subscriber on one loop, each with a SeamCounter
+// installed the way a benchmark installs its probe: every frame a role
+// writes crossed its to_wire() once, every frame it reads crossed its
+// from_wire() once, and the subscriber's decorator saw every delivery the
+// subscriber handled.
+TEST_F(InProcessRoles, EveryFrameCrossesTheTransportOnceEachWay) {
+  constexpr std::uint64_t kEvents = 100;
+  auto wrap = [&](net::BrokerProcess& role) -> net::BrokerProcess& {
+    sim::Network& net = role.network();
+    seams_.push_back(std::make_unique<SeamCounter>(net.transport(), ledger_));
+    net.set_transport(seams_.back().get());
+    return role;
+  };
+
+  net::ProcessOptions o;
+  o.name = "phb";
+  o.role = "phb";
+  o.expected_children = 1;
+  net::BrokerProcess& phb = wrap(start(o));
+  o = {};
+  o.name = "shb0";
+  o.role = "shb";
+  o.parent_port = phb.port();
+  net::BrokerProcess& shb = wrap(start(o));
+  o = {};
+  o.name = "sub1";
+  o.role = "sub";
+  o.parent_port = shb.port();
+  o.observer = &observer_;
+  net::BrokerProcess& sub = wrap(start(o));
+  ASSERT_TRUE(run_until(loop_, [&] { return sub.subscriber()->connected(); }, 20));
+  o = {};
+  o.name = "pub1";
+  o.role = "pub";
+  o.parent_port = phb.port();
+  o.publish_count = kEvents;
+  o.publish_interval = msec(1);
+  net::BrokerProcess& pub = wrap(start(o));
+  ASSERT_TRUE(run_until(
+      loop_,
+      [&] { return pub.publisher()->acked() >= kEvents && observer_.events >= kEvents; },
+      30));
+
+  EXPECT_EQ(observer_.events, kEvents);
+  for (const auto& seam : seams_) {
+    EXPECT_GT(seam->to_wire_calls, 0u);
+    EXPECT_EQ(seam->structs_encoded, seam->to_wire_calls);
+    EXPECT_GT(seam->from_wire_calls, 0u);
+    EXPECT_EQ(seam->ledger_hits, seam->from_wire_calls);
+    EXPECT_EQ(seam->structs_decoded, seam->from_wire_calls);
+  }
+  EXPECT_EQ(seams_[2]->event_deliveries, observer_.events);
+  for (const auto& role : roles_) EXPECT_EQ(role->network().decode_rejects(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Forked smoke topology: real gryphon_broker processes on 127.0.0.1 with
 // ephemeral ports. PHB and SHB processes host the brokers; pub/sub client
@@ -484,6 +750,19 @@ TEST_F(BrokerSmoke, LoopbackTopologyDeliversExactlyOnce) {
   EXPECT_NE(sub_result.find("\"received\":200"), std::string::npos) << sub_result;
   EXPECT_NE(sub_result.find("\"gaps\":0"), std::string::npos) << sub_result;
   EXPECT_NE(sub_result.find("\"decode_rejects\":0"), std::string::npos) << sub_result;
+}
+
+// Numeric flags are checked whole and in range: a bad one prints usage and
+// exits 2 instead of running as 0 (a --pubends 0 publisher used to die of
+// SIGFPE in its constructor; --listen abc used to listen on a random port).
+TEST_F(BrokerSmoke, BadNumericFlagsExitWithUsage) {
+  const pid_t zero_pubends = spawn({"--role", "pub", "--name", "pub1", "--parent",
+                                    "127.0.0.1:1", "--pubends", "0", "--run-for-sec",
+                                    "2"});
+  EXPECT_EQ(wait_exit(zero_pubends, 10000), 2);
+  const pid_t bad_port = spawn(
+      {"--role", "phb", "--name", "phb", "--listen", "abc", "--run-for-sec", "2"});
+  EXPECT_EQ(wait_exit(bad_port, 10000), 2);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@ namespace {
 
 struct PfsFixture : ::testing::Test {
   sim::Simulator sim;
-  sim::Network net{sim};
+  sim::LinkNetwork net{sim};
   BrokerConfig config{};
   NodeResources node{sim, net, "shb", config,
                      storage::DiskConfig{msec(2), 1e9, 1e9, msec(1)}};
@@ -233,7 +233,7 @@ struct ShardedPfsFixture : ::testing::Test {
   static constexpr std::size_t kShards = 4;
 
   sim::Simulator sim;
-  sim::Network net{sim};
+  sim::LinkNetwork net{sim};
   BrokerConfig config{};
   NodeResources node{sim, net, "shb", config,
                      storage::DiskConfig{msec(2), 1e9, 1e9, msec(1)}};

@@ -13,7 +13,7 @@ namespace {
 
 struct ImprecisePfsFixture : ::testing::Test {
   sim::Simulator sim;
-  sim::Network net{sim};
+  sim::LinkNetwork net{sim};
   BrokerConfig config{};
   NodeResources node{sim, net, "shb", config,
                      storage::DiskConfig{msec(2), 1e9, 1e9, msec(1)}};

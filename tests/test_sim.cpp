@@ -164,7 +164,7 @@ struct TestMsg final : Message {
 
 TEST(Network, DeliversWithLatency) {
   Simulator sim;
-  Network net(sim);
+  LinkNetwork net(sim);
   std::vector<std::pair<SimTime, int>> got;
   const auto a = net.add_endpoint("a", [](EndpointId, MessagePtr) {});
   const auto b = net.add_endpoint("b", [&](EndpointId, MessagePtr m) {
@@ -180,7 +180,7 @@ TEST(Network, DeliversWithLatency) {
 
 TEST(Network, FifoPerLink) {
   Simulator sim;
-  Network net(sim);
+  LinkNetwork net(sim);
   std::vector<int> got;
   const auto a = net.add_endpoint("a", [](EndpointId, MessagePtr) {});
   const auto b = net.add_endpoint("b", [&](EndpointId, MessagePtr m) {
@@ -195,7 +195,7 @@ TEST(Network, FifoPerLink) {
 
 TEST(Network, BandwidthSerializesBursts) {
   Simulator sim;
-  Network net(sim);
+  LinkNetwork net(sim);
   SimTime last = 0;
   const auto a = net.add_endpoint("a", [](EndpointId, MessagePtr) {});
   const auto b = net.add_endpoint("b", [&](EndpointId, MessagePtr) { last = sim.now(); });
@@ -208,7 +208,7 @@ TEST(Network, BandwidthSerializesBursts) {
 
 TEST(Network, DownEndpointDropsInFlightAndFutureTraffic) {
   Simulator sim;
-  Network net(sim);
+  LinkNetwork net(sim);
   int got = 0;
   const auto a = net.add_endpoint("a", [](EndpointId, MessagePtr) {});
   const auto b = net.add_endpoint("b", [&](EndpointId, MessagePtr) { ++got; });
@@ -229,7 +229,7 @@ TEST(Network, DownEndpointDropsInFlightAndFutureTraffic) {
 
 TEST(Network, DownSenderCannotSend) {
   Simulator sim;
-  Network net(sim);
+  LinkNetwork net(sim);
   int got = 0;
   const auto a = net.add_endpoint("a", [](EndpointId, MessagePtr) {});
   const auto b = net.add_endpoint("b", [&](EndpointId, MessagePtr) { ++got; });
@@ -242,7 +242,7 @@ TEST(Network, DownSenderCannotSend) {
 
 TEST(Network, SendWithoutLinkThrows) {
   Simulator sim;
-  Network net(sim);
+  LinkNetwork net(sim);
   const auto a = net.add_endpoint("a", [](EndpointId, MessagePtr) {});
   const auto b = net.add_endpoint("b", [](EndpointId, MessagePtr) {});
   EXPECT_THROW(net.send(a, b, std::make_shared<TestMsg>(1)), InvariantViolation);
@@ -250,7 +250,7 @@ TEST(Network, SendWithoutLinkThrows) {
 
 TEST(Network, CountsDeliveredBytes) {
   Simulator sim;
-  Network net(sim);
+  LinkNetwork net(sim);
   const auto a = net.add_endpoint("a", [](EndpointId, MessagePtr) {});
   const auto b = net.add_endpoint("b", [](EndpointId, MessagePtr) {});
   net.connect(a, b);

@@ -23,13 +23,14 @@
 //
 // See tools/run_broker_demo.sh for the scripted 7-process demo.
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "net/broker_process.hpp"
 #include "net/event_loop.hpp"
@@ -70,64 +71,82 @@ void usage() {
       "  --expect N           sub: exit once N events consumed\n"
       "  --run-for-sec S      hard runtime bound (safety net for scripts)\n"
       "  --result-file PATH   write a one-line JSON summary on exit\n"
-      "  --log-level L        off|debug|info|warn|error (warn)\n";
+      "  --log-level L        off|debug|info|warn|error (warn)\n"
+      "Numbers must be whole decimal values in range; anything else exits 2.\n";
+}
+
+/// Parses all of `text` into `out` when it is a number in [lo, hi]; the
+/// type bounds the rest (a uint16_t port cannot exceed 65535).
+template <typename T>
+bool parse_number(const std::string& text, T& out, std::type_identity_t<T> lo = 0,
+                  std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  T parsed{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, parsed);
+  if (ec != std::errc{} || stop != end || !(parsed >= lo && parsed <= hi)) return false;
+  out = parsed;
+  return true;
 }
 
 bool parse_flags(int argc, char** argv, Flags& flags) {
   auto& p = flags.process;
-  for (int i = 1; i < argc; ++i) {
+  for (int i = 1; i < argc; i += 2) {
     const std::string arg = argv[i];
-    auto value = [&](std::string& out) {
-      if (i + 1 >= argc) return false;
-      out = argv[++i];
-      return true;
-    };
-    std::string v;
-    if (arg == "--role" && value(v)) {
+    if (i + 1 >= argc) {
+      std::cerr << "missing value for " << arg << "\n";
+      return false;
+    }
+    const std::string v = argv[i + 1];
+    bool ok = true;
+    if (arg == "--role") {
       p.role = v;
-    } else if (arg == "--name" && value(v)) {
+    } else if (arg == "--name") {
       p.name = v;
-    } else if (arg == "--listen" && value(v)) {
-      p.listen_port = static_cast<std::uint16_t>(std::atoi(v.c_str()));
-    } else if (arg == "--port-file" && value(v)) {
+    } else if (arg == "--listen") {
+      ok = parse_number(v, p.listen_port);
+    } else if (arg == "--port-file") {
       flags.port_file = v;
-    } else if (arg == "--started-file" && value(v)) {
+    } else if (arg == "--started-file") {
       flags.started_file = v;
-    } else if (arg == "--parent" && value(v)) {
+    } else if (arg == "--parent") {
       const auto colon = v.rfind(':');
-      if (colon == std::string::npos) return false;
-      p.parent_host = v.substr(0, colon);
-      p.parent_port = static_cast<std::uint16_t>(std::atoi(v.c_str() + colon + 1));
-    } else if (arg == "--children" && value(v)) {
-      p.expected_children = std::atoi(v.c_str());
-    } else if (arg == "--wal-dir" && value(v)) {
+      ok = colon != std::string::npos &&
+           parse_number(v.substr(colon + 1), p.parent_port, 1);
+      if (ok) p.parent_host = v.substr(0, colon);
+    } else if (arg == "--children") {
+      ok = parse_number(v, p.expected_children);
+    } else if (arg == "--wal-dir") {
       p.storage.file_dir = v;
-    } else if (arg == "--pubends" && value(v)) {
-      p.num_pubends = std::atoi(v.c_str());
-    } else if (arg == "--client-id" && value(v)) {
-      p.client_id = static_cast<std::uint32_t>(std::atoi(v.c_str()));
-    } else if (arg == "--events" && value(v)) {
-      p.publish_count = static_cast<std::uint64_t>(std::atoll(v.c_str()));
-    } else if (arg == "--interval-usec" && value(v)) {
-      p.publish_interval = std::atoll(v.c_str());
-    } else if (arg == "--burst" && value(v)) {
-      p.publish_burst = std::atoi(v.c_str());
-    } else if (arg == "--payload" && value(v)) {
-      p.payload_bytes = static_cast<std::size_t>(std::atoll(v.c_str()));
-    } else if (arg == "--groups" && value(v)) {
-      p.groups = std::atoi(v.c_str());
-    } else if (arg == "--predicate" && value(v)) {
+    } else if (arg == "--pubends") {
+      ok = parse_number(v, p.num_pubends, 1);
+    } else if (arg == "--client-id") {
+      ok = parse_number(v, p.client_id, 1);
+    } else if (arg == "--events") {
+      ok = parse_number(v, p.publish_count);
+    } else if (arg == "--interval-usec") {
+      ok = parse_number(v, p.publish_interval);
+    } else if (arg == "--burst") {
+      ok = parse_number(v, p.publish_burst);
+    } else if (arg == "--payload") {
+      ok = parse_number(v, p.payload_bytes);
+    } else if (arg == "--groups") {
+      ok = parse_number(v, p.groups, 1);
+    } else if (arg == "--predicate") {
       p.predicate = v;
-    } else if (arg == "--expect" && value(v)) {
-      p.expect_events = static_cast<std::uint64_t>(std::atoll(v.c_str()));
-    } else if (arg == "--run-for-sec" && value(v)) {
-      flags.run_for_sec = std::atof(v.c_str());
-    } else if (arg == "--result-file" && value(v)) {
+    } else if (arg == "--expect") {
+      ok = parse_number(v, p.expect_events);
+    } else if (arg == "--run-for-sec") {
+      ok = parse_number(v, flags.run_for_sec);
+    } else if (arg == "--result-file") {
       flags.result_file = v;
-    } else if (arg == "--log-level" && value(v)) {
+    } else if (arg == "--log-level") {
       flags.log_level = v;
     } else {
-      std::cerr << "unknown or incomplete flag: " << arg << "\n";
+      std::cerr << "unknown flag: " << arg << "\n";
+      return false;
+    }
+    if (!ok) {
+      std::cerr << "bad value for " << arg << ": '" << v << "'\n";
       return false;
     }
   }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Chaos soak under ASan+UBSan: builds the sanitizer preset and runs N seeded
-# fault schedules plus the chaos, socket, durability and wire test suites,
-# then runs the socket and power-loss durability suites again under
-# ThreadSanitizer (the real runtime's syncer threads). Any invariant
-# violation prints the offending seed and its decoded fault timeline; rerun with
+# fault schedules plus the chaos, socket, durability and wire test suites
+# and a bench_sockets smoke of the real runtime, then runs the socket and
+# power-loss durability suites again under ThreadSanitizer (the real
+# runtime's syncer threads). Any invariant violation prints the offending
+# seed and its decoded fault timeline; rerun with
 #   bench_chaos_soak 1 <seed>
 # (or ChaosConfig{.seed = <seed>} in a test) to replay it exactly.
 #
@@ -16,7 +17,7 @@ FIRST_SEED="${2:-1}"
 HORIZON_S="${3:-10}"
 
 cmake --preset asan-ubsan
-cmake --build --preset asan-ubsan -j "$(nproc)" --target test_chaos test_net test_durability test_wire gryphon_broker_cli bench_chaos_soak bench_wallclock bench_recovery_fuzz bench_churn_storm bench_scale_1m gryphon_report
+cmake --build --preset asan-ubsan -j "$(nproc)" --target test_chaos test_net test_durability test_wire gryphon_broker_cli bench_chaos_soak bench_wallclock bench_recovery_fuzz bench_churn_storm bench_scale_1m bench_sockets gryphon_report
 
 echo "== chaos test suite (asan-ubsan) =="
 ./build-asan/tests/test_chaos
@@ -27,6 +28,14 @@ echo "== socket and wire suites (asan-ubsan) =="
 GRYPHON_BROKER_BIN=./build-asan/tools/gryphon_broker ./build-asan/tests/test_net
 ./build-asan/tests/test_durability
 ./build-asan/tests/test_wire
+
+echo "== real-runtime smoke (asan-ubsan): bench_sockets, exactly-once only =="
+# PHB, SHB, publisher and subscriber over loopback TCP under a paced load:
+# frames written inside send(), decoded and handled inside the read
+# callback, client handlers run inline. Exits non-zero unless every event
+# arrives exactly once; the latency gate (--check) is left to
+# tools/run_bench.sh, since sanitizers slow the loop.
+./build-asan/bench/bench_sockets --smoke
 
 echo "== socket and durability suites (tsan) =="
 # The first second thread in a broker process: each node's fdatasync syncer
