@@ -27,7 +27,8 @@
 //
 // --check FILE gates this run against a committed artifact: the committed
 // file must record an exactly-once run, and this run must be exactly-once
-// with e2e p99 at or under the file's gate_e2e_p99_ms.
+// with e2e p50 and p99 at or under the file's gate_e2e_p50_ms and
+// gate_e2e_p99_ms.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -56,8 +57,10 @@ namespace fs = std::filesystem;
 
 constexpr std::size_t kPayloadBytes = 64;
 constexpr int kGroups = 4;
-/// The --check ceiling recorded with every run. The 2003 cost model this
-/// runtime used to wait out put p50 alone at ~11 ms.
+/// The --check ceilings recorded with every run. The 2003 cost model this
+/// runtime used to wait out put p50 alone at ~11 ms; poll timeouts rounded
+/// up to whole milliseconds held it near 1 ms.
+constexpr double kGateP50Ms = 0.75;
 constexpr double kGateP99Ms = 10.0;
 
 std::int64_t now_ns() {
@@ -315,6 +318,7 @@ int run(std::uint64_t events, double rate_eps, int reps, const std::string& out,
        << "      \"e2e_samples\": " << t.latencies_ms.size() << ",\n"
        << "      \"e2e_p50_ms\": " << p50 << ",\n"
        << "      \"e2e_p99_ms\": " << p99 << ",\n"
+       << "      \"gate_e2e_p50_ms\": " << kGateP50Ms << ",\n"
        << "      \"gate_e2e_p99_ms\": " << kGateP99Ms << ",\n"
        << "      \"fsyncs_per_s\": " << fsyncs_per_s << ",\n"
        << "      \"bytes_per_fsync\": " << bytes_per_fsync << ",\n"
@@ -338,18 +342,22 @@ int run(std::uint64_t events, double rate_eps, int reps, const std::string& out,
     std::ifstream in(check);
     const std::string committed((std::istreambuf_iterator<char>(in)),
                                 std::istreambuf_iterator<char>());
-    double gate = 0;
+    double gate50 = 0;
+    double gate99 = 0;
     if (committed.find("\"exactly_once\": true") == std::string::npos ||
-        !read_number(committed, "gate_e2e_p99_ms", gate)) {
-      std::fprintf(stderr, "FAIL: %s records no exactly-once run with a p99 gate\n",
+        !read_number(committed, "gate_e2e_p50_ms", gate50) ||
+        !read_number(committed, "gate_e2e_p99_ms", gate99)) {
+      std::fprintf(stderr, "FAIL: %s records no exactly-once run with p50 and p99 gates\n",
                    check.c_str());
       rc = 1;
-    } else if (p99 > gate) {
-      std::fprintf(stderr, "FAIL: e2e p99 %.3f ms is over the %.3f ms gate in %s\n", p99,
-                   gate, check.c_str());
+    } else if (p50 > gate50 || p99 > gate99) {
+      std::fprintf(stderr,
+                   "FAIL: e2e p50 %.3f / p99 %.3f ms is over the %.3f / %.3f ms gates in %s\n",
+                   p50, p99, gate50, gate99, check.c_str());
       rc = 1;
     } else {
-      std::printf("ok: exactly-once, e2e p99 %.3f ms <= %.3f ms gate\n", p99, gate);
+      std::printf("ok: exactly-once, e2e p50 %.3f ms <= %.3f ms, p99 %.3f ms <= %.3f ms\n",
+                  p50, gate50, p99, gate99);
     }
   }
   return rc;

@@ -35,10 +35,9 @@ void DeliveryOracle::on_event(SubscriberId s, PubendId p, Tick t,
   GRYPHON_CHECK_MSG(it != subs_.end(), "delivery to unregistered subscriber " << s);
   SubState& state = it->second;
 
-  if (!state.predicate->matches(*event)) {
-    note_violation(s, p, t, "spurious delivery (predicate mismatch)");
-  }
-  GRYPHON_CHECK_MSG(state.predicate->matches(*event),
+  const bool matches = state.predicate->matches(*event);
+  if (!matches) note_violation(s, p, t, "spurious delivery (predicate mismatch)");
+  GRYPHON_CHECK_MSG(matches,
                     "spurious delivery: event at " << p << ':' << t
                                                    << " does not match subscriber " << s);
   const bool fresh = state.delivered[p].insert(t);

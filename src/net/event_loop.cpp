@@ -3,6 +3,7 @@
 #include <poll.h>
 
 #include <algorithm>
+#include <ctime>
 
 #include "util/assert.hpp"
 
@@ -56,14 +57,15 @@ void EventLoop::fire_due_timers() {
 void EventLoop::tick(SimDuration max_wait) {
   fire_due_timers();
 
-  // Poll timeout: up to the next timer, rounded *up* so a due-in-200us
-  // timer doesn't busy-spin at timeout 0 forever.
+  // Poll timeout: exactly the microseconds to the next timer, so a timer
+  // due in 200us is woken for after 200us (plus the kernel's timer slack).
   const SimTime due = timers_.next_due();
   SimDuration wait = max_wait;
   if (due != sim::Simulator::kNoTaskDue) {
     wait = std::clamp<SimDuration>(due - elapsed(), 0, max_wait);
   }
-  const int timeout_ms = static_cast<int>((wait + 999) / 1000);
+  const timespec timeout{static_cast<std::time_t>(wait / 1'000'000),
+                         static_cast<long>(wait % 1'000'000) * 1000};
 
   pollfds_.clear();
   pollfds_.reserve(watchers_.size());
@@ -74,7 +76,7 @@ void EventLoop::tick(SimDuration max_wait) {
     pollfds_.push_back(pollfd{fd, events, 0});
   }
 
-  const int n = ::poll(pollfds_.data(), pollfds_.size(), timeout_ms);
+  const int n = ::ppoll(pollfds_.data(), pollfds_.size(), &timeout, nullptr);
   ++polls_;
   fire_due_timers();
   if (n <= 0) return;  // timeout or EINTR: timers already handled

@@ -1,6 +1,6 @@
 // EventLoop — the real-time implementation of the sim::Scheduler seam.
 //
-// A single-threaded poll(2) loop: nonblocking fds are watched for
+// A single-threaded ppoll(2) loop: nonblocking fds are watched for
 // read/write readiness, and timers are stored in an embedded sim::Simulator
 // used purely as a deterministic timer wheel (same slab/heap/generation
 // machinery, same TaskId contract — cancel tokens issued by brokers work
@@ -10,12 +10,13 @@
 // same thing under the simulator and under this loop.
 //
 // Each iteration: advance now_ to the wall clock, fire every timer that is
-// due, then poll() with a timeout reaching exactly to the next timer (or a
-// bounded idle wait), then dispatch io callbacks. Timer tasks scheduled for
-// a past instant run on the next iteration — the loop never sleeps past a
-// due timer, but real time may overshoot one; schedule_at clamps to now
-// rather than asserting, because wall time, unlike sim time, moves on its
-// own.
+// due, then ppoll() with a timeout of the exact microseconds to the next
+// timer (or a bounded idle wait), then dispatch io callbacks. A timer fires
+// within the kernel's timer slack (~50us) of its due time, not a whole
+// millisecond late. Timer tasks scheduled for a past instant run on the
+// next iteration — the loop never sleeps past a due timer, but real time
+// may overshoot one; schedule_at clamps to now rather than asserting,
+// because wall time, unlike sim time, moves on its own.
 //
 // Not thread-safe: everything — schedule, cancel, watch, dispatch — happens
 // on the loop thread, exactly like the simulator it substitutes for.
@@ -64,7 +65,7 @@ class EventLoop final : public sim::Scheduler {
   void unwatch_fd(int fd);
 
   // --- driving ---
-  /// Runs until stop(). Idle iterations block in poll() up to the next
+  /// Runs until stop(). Idle iterations block in ppoll() up to the next
   /// timer (or 500ms when no timer is pending).
   void run();
 

@@ -234,8 +234,12 @@ void Connection::on_events(std::uint32_t events) {
 }
 
 void Connection::handle_readable(const std::shared_ptr<const char>& guard) {
+  // A read shorter than the buffer drained the socket; bytes that arrive
+  // later wake the next (level-triggered) poll, so no recv is spent on
+  // EAGAIN. Only a full buffer reads again.
   std::byte buf[65536];
-  while (fd_ >= 0) {
+  bool more = true;
+  while (more && fd_ >= 0) {
     const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
     if (n == 0) {
       const bool torn = reassembler_.buffered() > 0;
@@ -247,6 +251,7 @@ void Connection::handle_readable(const std::shared_ptr<const char>& guard) {
       fail(std::string("recv: ") + ::strerror(errno));
       return;
     }
+    more = static_cast<std::size_t>(n) == sizeof buf;
     bytes_in_ += static_cast<std::uint64_t>(n);
     std::span<const std::byte> chunk(buf, static_cast<std::size_t>(n));
     if (line_mode_) {

@@ -13,11 +13,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -249,6 +251,38 @@ TEST(EventLoop, PastDeadlineRunsImmediately) {
   EXPECT_TRUE(fired);
 }
 
+// A chain of timers, each due 250us after the previous one fired: the loop
+// wakes for every one on time instead of sleeping a whole millisecond.
+TEST(EventLoop, SubMillisecondTimersFireOnTime) {
+  net::EventLoop loop;
+  constexpr std::size_t kTimers = 100;
+  std::vector<SimDuration> lateness;
+  SimTime due = 0;
+  std::function<void()> fire = [&] {
+    lateness.push_back(loop.now() - due);
+    if (lateness.size() == kTimers) return;
+    due = loop.now() + usec(250);
+    loop.schedule_at(due, fire);
+  };
+  due = loop.now() + usec(250);
+  loop.schedule_at(due, fire);
+  for (int i = 0; lateness.size() < kTimers && i < 100000; ++i) loop.tick(msec(5));
+  ASSERT_EQ(lateness.size(), kTimers);
+  std::sort(lateness.begin(), lateness.end());
+  EXPECT_LT(lateness[kTimers / 2], usec(400)) << "median timer lateness";
+}
+
+// A wait shorter than the timer's distance must still sleep: a timeout
+// rounded down to zero would spin the loop until the timer is due.
+TEST(EventLoop, AFarTimerDoesNotSpin) {
+  net::EventLoop loop;
+  bool fired = false;
+  loop.schedule_after(msec(5), [&] { fired = true; });
+  for (int i = 0; !fired && i < 100000; ++i) loop.tick(msec(500));
+  EXPECT_TRUE(fired);
+  EXPECT_LE(loop.polls(), 3u);
+}
+
 TEST(EventLoop, FdReadinessDispatches) {
   net::EventLoop loop;
   int fds[2];
@@ -321,6 +355,46 @@ TEST(Connection, LoopbackHandshakeAndFrames) {
   EXPECT_EQ(client.reassembly_rejects(), 0u);
 }
 
+void write_all(int fd, std::span<const std::byte> bytes) {
+  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+// More bytes than one 64 KiB recv buffer, written at once: the readable
+// callback keeps reading after a full buffer, so every frame is handled in
+// a single loop tick.
+TEST(Connection, BurstLargerThanTheReadBufferArrivesInOneTick) {
+  net::EventLoop loop;
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
+  const int sndbuf = 1 << 20;
+  ASSERT_EQ(::setsockopt(fds[1], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof sndbuf), 0);
+  std::vector<std::byte> burst = bytes_of("GRYHELLO peer pub\n");
+  std::vector<std::string> payloads;
+  for (int i = 0; i < 4; ++i) payloads.push_back(std::string(20000, static_cast<char>('a' + i)));
+  const Batch batch = make_batch();
+  payloads.insert(payloads.end(), batch.payloads.begin(), batch.payloads.end());
+  for (const std::string& p : payloads) wire::append_frame(burst, 1, bytes_of(p));
+  ASSERT_GT(burst.size(), 65536u);
+
+  net::Connection conn(loop, fds[0], "local", /*connecting=*/false);
+  std::vector<std::string> got;
+  conn.set_on_line([](const std::string&) {});
+  conn.set_on_frame([&](std::shared_ptr<const sim::FrameMessage> f) {
+    const auto payload = wire::parse_frame(f->wire_bytes()).payload;
+    got.emplace_back(reinterpret_cast<const char*>(payload.data()), payload.size());
+  });
+  conn.set_on_close([](const std::string&) {});
+  conn.start();
+  write_all(fds[1], burst);
+  loop.tick(msec(200));
+  ASSERT_EQ(got.size(), payloads.size());
+  EXPECT_TRUE(got == payloads) << "a payload arrived altered";
+  EXPECT_EQ(conn.bytes_in(), burst.size());
+  EXPECT_EQ(conn.reassembly_rejects(), 0u);
+  ::close(fds[1]);
+}
+
 // A send that fails on a reset socket runs on_close from inside
 // send_bytes(), and on_close may destroy the Connection (the broker's
 // handlers reset their owning unique_ptr). Nothing may touch the freed
@@ -371,11 +445,6 @@ std::vector<std::byte> undecodable_frame() {
   std::vector<std::byte> bad;
   wire::append_frame(bad, static_cast<std::uint8_t>(core::MsgKind::kEventDelivery), {});
   return bad;
-}
-
-void write_all(int fd, std::span<const std::byte> bytes) {
-  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
-            static_cast<ssize_t>(bytes.size()));
 }
 
 // The far end of a socketpair plays the peer process: what it writes is

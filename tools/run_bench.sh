@@ -25,8 +25,8 @@
 #
 # It also gates the real runtime: bench_sockets --check BENCH_sockets.json
 # reruns the paced loopback-TCP topology (fdatasync'ed WALs) and fails
-# unless delivery is exactly-once and e2e p99 stays under the gate the
-# committed file records.
+# unless delivery is exactly-once and e2e p50 and p99 stay under the gates
+# the committed file records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,6 +76,6 @@ if ! grep -qF '"latency": {' BENCH_churn_storm.json; then
   exit 1
 fi
 
-# Real runtime: exactly-once and the e2e p99 gate recorded in
+# Real runtime: exactly-once and the e2e p50/p99 gates recorded in
 # BENCH_sockets.json (re-record with --out BENCH_sockets.json).
 ./build-release/bench/bench_sockets --check BENCH_sockets.json
