@@ -54,10 +54,11 @@ int main(int argc, char** argv) {
     else if (arg.rfind("--trace-out=", 0) == 0) trace_out = arg.substr(12);
     else pos.push_back(arg);
   }
-  const int num_seeds = !pos.empty() ? std::atoi(pos[0].c_str()) : 10;
+  const int num_seeds = !pos.empty() ? parse_arg<int>("seed count", pos[0], 1) : 10;
   const std::uint64_t first_seed =
-      pos.size() > 1 ? std::strtoull(pos[1].c_str(), nullptr, 10) : 1;
-  const double horizon_s = pos.size() > 2 ? std::atof(pos[2].c_str()) : 10.0;
+      pos.size() > 1 ? parse_arg<std::uint64_t>("first seed", pos[1]) : 1;
+  const double horizon_s =
+      pos.size() > 2 ? parse_arg<double>("horizon seconds", pos[2], 0.001) : 10.0;
 
   print_header("Chaos soak: " + std::to_string(num_seeds) + " seeded schedules, " +
                fmt(horizon_s, 0) + "s fault horizon each, wire=" +

@@ -242,13 +242,13 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--out") out_path = next();
-    else if (arg == "--subs") subscribers = std::atoi(next());
+    else if (arg == "--subs") subscribers = parse_arg<int>("--subs", next(), 1);
     else if (arg == "--smoke") smoke = true;
     else pos.push_back(arg);
   }
-  int num_seeds = !pos.empty() ? std::atoi(pos[0].c_str()) : (smoke ? 2 : 10);
+  int num_seeds = !pos.empty() ? parse_arg<int>("seed count", pos[0], 1) : (smoke ? 2 : 10);
   const std::uint64_t first_seed =
-      pos.size() > 1 ? std::strtoull(pos[1].c_str(), nullptr, 10) : 1;
+      pos.size() > 1 ? parse_arg<std::uint64_t>("first seed", pos[1]) : 1;
   if (subscribers == 0) subscribers = smoke ? 400 : 5000;
   const int waves = smoke ? 1 : 2;
   // A full 5000-stream herd through a 64-wide gate needs ~0.5 s per stream

@@ -3,18 +3,42 @@
 // DESIGN.md §4 substitutions) and small table/series printers.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "harness/system.hpp"
 #include "harness/workload.hpp"
 
 namespace gryphon::bench {
+
+/// Parses all of `text` as a number in [lo, hi], or exits with status 2
+/// naming the argument, as gryphon_broker does for its flags. (atoi would
+/// read "abc" as 0 and, say, run zero seeds and exit 0.)
+template <typename T>
+T parse_arg(const std::string& name, const std::string& text,
+            std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
+            std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  T parsed{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, parsed);
+  if (text.empty() || ec != std::errc{} || stop != end || !(parsed >= lo && parsed <= hi)) {
+    std::ostringstream os;
+    os << "bad " << name << " '" << text << "': expected a number in [" << lo << ", "
+       << hi << "]";
+    std::fprintf(stderr, "%s\n", os.str().c_str());
+    std::exit(2);
+  }
+  return parsed;
+}
 
 /// §5 defaults: RS/6000 F80-class brokers (6 cores), event logging at the
 /// PHB dominating end-to-end latency at ~44 ms, SSA-class SHB disks, 1 ms

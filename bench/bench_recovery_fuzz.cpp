@@ -229,9 +229,9 @@ int main(int argc, char** argv) {
     else if (arg == "--smoke") smoke = true;
     else pos.push_back(arg);
   }
-  int num_seeds = !pos.empty() ? std::atoi(pos[0].c_str()) : 100;
+  int num_seeds = !pos.empty() ? parse_arg<int>("seed count", pos[0], 1) : 100;
   const std::uint64_t first_seed =
-      pos.size() > 1 ? std::strtoull(pos[1].c_str(), nullptr, 10) : 1;
+      pos.size() > 1 ? parse_arg<std::uint64_t>("first seed", pos[1]) : 1;
   if (smoke && pos.empty()) num_seeds = 3;
 
   // The codec leg re-runs a slice of the seed range over the byte-level

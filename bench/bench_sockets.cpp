@@ -44,6 +44,7 @@
 
 #include <unistd.h>
 
+#include "bench/bench_common.hpp"
 #include "core/client_observer.hpp"
 #include "net/broker_process.hpp"
 #include "net/event_loop.hpp"
@@ -374,11 +375,11 @@ int main(int argc, char** argv) {
   std::string check;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc) {
-      events = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      events = gryphon::bench::parse_arg<std::uint64_t>("--events", argv[++i], 1);
     } else if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc) {
-      rate = std::atof(argv[++i]);
+      rate = gryphon::bench::parse_arg<double>("--rate", argv[++i], 0.001);
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
+      reps = gryphon::bench::parse_arg<int>("--reps", argv[++i], 1);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out = argv[++i];
     } else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {

@@ -272,8 +272,8 @@ int main(int argc, char** argv) {
     };
     if (arg == "--out") out_path = next();
     else if (arg == "--check") check_path = next();
-    else if (arg == "--tolerance") tolerance = std::atof(next());
-    else if (arg == "--reps") reps = std::atoi(next());
+    else if (arg == "--tolerance") tolerance = parse_arg<double>("--tolerance", next(), 0, 1);
+    else if (arg == "--reps") reps = parse_arg<int>("--reps", next(), 1);
     else if (arg == "--smoke") smoke = true;
     else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());

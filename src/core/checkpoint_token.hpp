@@ -2,10 +2,16 @@
 // (paper §2). CT(s,p) is the latest tick of pubend p that subscriber s has
 // consumed (and everything before it). Subscribers persist their CT and
 // present it on reconnection as the resumption point.
+//
+// Stored as a vector of (pubend, tick) sorted by pubend: a token names a
+// handful of pubends, and every delivery reads and advances one component,
+// so a binary search over a few adjacent pairs beats walking a tree.
 #pragma once
 
-#include <map>
+#include <algorithm>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 #include "util/byte_buffer.hpp"
 #include "util/ids.hpp"
@@ -17,17 +23,30 @@ class CheckpointToken {
  public:
   CheckpointToken() = default;
 
+  using Entry = std::pair<PubendId, Tick>;
+
   [[nodiscard]] Tick of(PubendId p) const {
-    auto it = entries_.find(p);
-    return it == entries_.end() ? kTickZero : it->second;
+    auto it = find(p);
+    return it == entries_.end() || it->first != p ? kTickZero : it->second;
   }
 
-  void set(PubendId p, Tick t) { entries_[p] = t; }
+  void set(PubendId p, Tick t) {
+    auto it = find(p);
+    if (it != entries_.end() && it->first == p) {
+      it->second = t;
+    } else {
+      entries_.insert(it, {p, t});
+    }
+  }
 
   /// Monotonic update: never moves a component backwards.
   void advance(PubendId p, Tick t) {
-    auto [it, inserted] = entries_.emplace(p, t);
-    if (!inserted && t > it->second) it->second = t;
+    auto it = find(p);
+    if (it == entries_.end() || it->first != p) {
+      entries_.insert(it, {p, t});
+    } else if (t > it->second) {
+      it->second = t;
+    }
   }
 
   /// Component-wise max with another token.
@@ -35,7 +54,8 @@ class CheckpointToken {
     for (const auto& [p, t] : other.entries_) advance(p, t);
   }
 
-  [[nodiscard]] const std::map<PubendId, Tick>& entries() const { return entries_; }
+  /// (pubend, tick) pairs in ascending pubend order.
+  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
 
   /// True iff every component of this token is <= the other's.
@@ -79,7 +99,17 @@ class CheckpointToken {
   }
 
  private:
-  std::map<PubendId, Tick> entries_;
+  /// First entry whose pubend is not below p.
+  [[nodiscard]] std::vector<Entry>::iterator find(PubendId p) {
+    return std::lower_bound(entries_.begin(), entries_.end(), p,
+                            [](const Entry& e, PubendId q) { return e.first < q; });
+  }
+  [[nodiscard]] std::vector<Entry>::const_iterator find(PubendId p) const {
+    return std::lower_bound(entries_.begin(), entries_.end(), p,
+                            [](const Entry& e, PubendId q) { return e.first < q; });
+  }
+
+  std::vector<Entry> entries_;  // sorted by pubend, one entry per pubend
 };
 
 }  // namespace gryphon::core

@@ -1,5 +1,7 @@
 #include "core/event_codec.hpp"
 
+#include <cstring>
+
 #include "util/assert.hpp"
 
 namespace gryphon::core {
@@ -69,8 +71,10 @@ void encode_event_data(W& w, const matching::EventData& e) {
 template void encode_event_data(BufWriter&, const matching::EventData&);
 template void encode_event_data(ByteCounter&, const matching::EventData&);
 
-matching::EventDataPtr decode_event_data(BufReader& r,
-                                          const std::shared_ptr<const void>& owner) {
+namespace {
+
+matching::EventDataPtr decode_event_fields(BufReader& r,
+                                           const std::shared_ptr<const void>& owner) {
   const auto n_attrs = r.get_u32();
   matching::EventData::AttributeList attrs;
   attrs.reserve(n_attrs);
@@ -94,6 +98,26 @@ matching::EventDataPtr decode_event_data(BufReader& r,
   if (padded > payload.size()) r.get_bytes(padded - payload.size());
   return std::make_shared<matching::EventData>(std::move(attrs), std::move(payload),
                                                padded);
+}
+
+}  // namespace
+
+matching::EventDataPtr decode_event_data(BufReader& r,
+                                         const std::shared_ptr<const void>& owner,
+                                         EventDecodeCache* cache) {
+  if (cache == nullptr) return decode_event_fields(r, owner);
+  const std::span<const std::byte> start = r.rest();
+  const std::vector<std::byte>& seen = cache->bytes;
+  if (cache->event != nullptr && start.size() >= seen.size() &&
+      std::memcmp(start.data(), seen.data(), seen.size()) == 0) {
+    r.get_bytes(seen.size());
+    return cache->event;
+  }
+  matching::EventDataPtr event = decode_event_fields(r, owner);
+  cache->bytes.assign(start.begin(), start.begin() + static_cast<std::ptrdiff_t>(
+                                                         start.size() - r.remaining()));
+  cache->event = event;
+  return event;
 }
 
 std::vector<std::byte> encode_logged_event(const LoggedEvent& e,

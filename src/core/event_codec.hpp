@@ -39,12 +39,25 @@ struct LoggedEvent {
 template <typename W>
 void encode_event_data(W& w, const matching::EventData& e);
 
+/// The last event a decoder produced and the exact bytes it came from. An
+/// SHB fans one event out to every matching subscriber, so consecutive
+/// frames carry the same event bytes; with a cache the decoder rebuilds the
+/// event once and hands every frame the same EventData, as struct mode
+/// shares one pointer. The encoding is self-delimiting, so bytes that start
+/// with a complete earlier encoding decode to exactly that event.
+struct EventDecodeCache {
+  std::vector<std::byte> bytes;
+  matching::EventDataPtr event;
+};
+
 /// `owner` (optional) enables zero-copy decode: when non-null, the decoded
 /// event's payload is a view into the reader's underlying bytes, kept alive
 /// by `owner` (a received frame's arena). With a null owner the payload is
 /// materialized — callers whose buffer dies before the event must pass
-/// null (the WAL recovery scan does).
+/// null (the WAL recovery scan does). `cache` (optional) is consulted and
+/// updated as described above.
 [[nodiscard]] matching::EventDataPtr decode_event_data(
-    BufReader& r, const std::shared_ptr<const void>& owner = nullptr);
+    BufReader& r, const std::shared_ptr<const void>& owner = nullptr,
+    EventDecodeCache* cache = nullptr);
 
 }  // namespace gryphon::core

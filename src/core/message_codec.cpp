@@ -202,7 +202,8 @@ bool get_bool(BufReader& r) {
 }
 
 std::shared_ptr<const Msg> decode_fields(MsgKind kind, BufReader& r,
-                                         const std::shared_ptr<const void>& owner) {
+                                         const std::shared_ptr<const void>& owner,
+                                         EventDecodeCache* cache) {
   switch (kind) {
     case MsgKind::kStreamData: {
       const PubendId pubend{r.get_u32()};
@@ -220,7 +221,7 @@ std::shared_ptr<const Msg> decode_fields(MsgKind kind, BufReader& r,
         item.range = get_range(r);
         if (item.value == routing::TickValue::kD) {
           if (item.range.from != item.range.to) throw BadPayload{"bad D range"};
-          item.event = decode_event_data(r, owner);
+          item.event = decode_event_data(r, owner, cache);
         }
         items.push_back(std::move(item));
       }
@@ -258,7 +259,7 @@ std::shared_ptr<const Msg> decode_fields(MsgKind kind, BufReader& r,
       const std::uint64_t seq = r.get_u64();
       const std::uint64_t acked_below = r.get_u64();
       const PubendId pubend{r.get_u32()};
-      auto event = decode_event_data(r, owner);
+      auto event = decode_event_data(r, owner, cache);
       return std::make_shared<PublishMsg>(pub, seq, acked_below, pubend,
                                           std::move(event));
     }
@@ -295,7 +296,7 @@ std::shared_ptr<const Msg> decode_fields(MsgKind kind, BufReader& r,
       const PubendId pubend{r.get_u32()};
       const Tick tick = r.get_i64();
       const bool catchup = get_bool(r);
-      auto event = decode_event_data(r, owner);
+      auto event = decode_event_data(r, owner, cache);
       return std::make_shared<EventDeliveryMsg>(sub, pubend, tick, std::move(event),
                                                 catchup);
     }
@@ -329,13 +330,14 @@ std::size_t Msg::wire_size() const {
 void encode_payload(BufWriter& w, const Msg& msg) { encode_payload_to(w, msg); }
 
 PayloadDecode decode_payload(MsgKind kind, std::span<const std::byte> payload,
-                             const std::shared_ptr<const void>& owner) {
+                             const std::shared_ptr<const void>& owner,
+                             EventDecodeCache* cache) {
   // Payloads reach here behind a passed CRC, so a structural failure is
   // encoder version skew rather than wire damage — rejected all the same.
   PayloadDecode res;
   try {
     BufReader r(payload);
-    res.msg = decode_fields(kind, r, owner);
+    res.msg = decode_fields(kind, r, owner, cache);
     if (!r.done()) {
       res.msg = nullptr;
       res.reason = "trailing payload bytes";

@@ -8,6 +8,7 @@
 #include <memory>
 #include <span>
 
+#include "core/event_codec.hpp"
 #include "core/messages.hpp"
 #include "util/byte_buffer.hpp"
 
@@ -24,10 +25,11 @@ struct PayloadDecode {
 /// Decodes a payload of kind `kind` spanning all of `payload`. Never throws:
 /// a truncated field, trailing bytes or a non-canonical value (a bool byte
 /// other than 0/1, unknown flag bits, a bad knowledge tag) is a reject.
-/// `owner` (optional) enables zero-copy event payloads, as for
-/// decode_event_data().
+/// `owner` (optional) enables zero-copy event payloads and `cache`
+/// (optional) shares repeated events, both as for decode_event_data().
 [[nodiscard]] PayloadDecode decode_payload(MsgKind kind,
                                            std::span<const std::byte> payload,
-                                           const std::shared_ptr<const void>& owner);
+                                           const std::shared_ptr<const void>& owner,
+                                           EventDecodeCache* cache = nullptr);
 
 }  // namespace gryphon::core

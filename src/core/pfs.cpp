@@ -103,25 +103,18 @@ PersistentFilteringSubsystem::Record PersistentFilteringSubsystem::decode(
   return rec;
 }
 
-PersistentFilteringSubsystem::PerPubend& PersistentFilteringSubsystem::per(PubendId p) {
-  auto it = pubends_.find(p);
-  GRYPHON_CHECK_MSG(it != pubends_.end(), "unknown pubend " << p);
-  return it->second;
-}
-
-const PersistentFilteringSubsystem::PerPubend& PersistentFilteringSubsystem::per(
-    PubendId p) const {
-  auto it = pubends_.find(p);
-  GRYPHON_CHECK_MSG(it != pubends_.end(), "unknown pubend " << p);
-  return it->second;
-}
-
 void PersistentFilteringSubsystem::open(const std::vector<PubendId>& pubends) {
   auto& db = res_.database;
   auto& volume = res_.log_volume;
+  GRYPHON_CHECK_MSG(pubends_.empty(), "PFS opened twice");
+  slots_ = PubendSlots(pubends);
+  GRYPHON_CHECK_MSG(slots_.size() == pubends.size(), "duplicate pubend id");
+  pubends_.resize(slots_.size());
 
+  // Streams open in the caller's order (log stream ids are assigned on
+  // first open); the states sit in slot order.
   for (PubendId p : pubends) {
-    PerPubend state;
+    PerPubend& state = per(p);
     state.id = p;
     state.shards.resize(shards_);
     for (std::size_t k = 0; k < shards_; ++k) {
@@ -138,14 +131,13 @@ void PersistentFilteringSubsystem::open(const std::vector<PubendId>& pubends) {
         shard.chopped_upto = decode_i64(*v);
       }
     }
-    pubends_.emplace(p, std::move(state));
   }
 
   // Per-subscriber lastIndex rows: an ordered-index range scan per pubend
   // prefix, not a full-table pass — recovery cost follows the configured
   // pubends' rows, routed to each subscriber's shard.
-  for (auto& [p, state] : pubends_) {
-    const std::string prefix = std::to_string(p.value()) + ':';
+  for (PerPubend& state : pubends_) {
+    const std::string prefix = std::to_string(state.id.value()) + ':';
     for (const auto& [key, value] : db.scan_prefix(kSubTable, prefix)) {
       const SubscriberId s{
           static_cast<std::uint32_t>(std::stoul(key.substr(prefix.size())))};
@@ -156,7 +148,7 @@ void PersistentFilteringSubsystem::open(const std::vector<PubendId>& pubends) {
 
   // Repair: forward-scan each shard's durable log suffix that postdates the
   // metadata snapshot, rebuilding lastTimestamp and lastIndex(s).
-  for (auto& [p, state] : pubends_) {
+  for (PerPubend& state : pubends_) {
     for (Shard& shard : state.shards) {
       shard.last_index = shard.durable_last_index;
       shard.last_timestamp = shard.durable_timestamp;
@@ -236,10 +228,12 @@ void PersistentFilteringSubsystem::write_sharded(
 
 void PersistentFilteringSubsystem::flush_batch(PerPubend& state) {
   if (state.batch_count == 0) return;
-  std::vector<SubscriberId> matching(state.batch_union.begin(), state.batch_union.end());
+  std::vector<SubscriberId> matching = std::move(state.batch_members);
+  std::sort(matching.begin(), matching.end());
+  matching.erase(std::unique(matching.begin(), matching.end()), matching.end());
   write_sharded(state, {state.batch_first, state.batch_last}, matching);
   state.batch_count = 0;
-  state.batch_union.clear();
+  state.batch_members.clear();
 }
 
 void PersistentFilteringSubsystem::append(PubendId pubend, Tick tick,
@@ -260,12 +254,12 @@ void PersistentFilteringSubsystem::append(PubendId pubend, Tick tick,
   // covering their range with the union of their subscriber lists.
   if (state.batch_count == 0) state.batch_first = tick;
   state.batch_last = tick;
-  state.batch_union.insert(matching.begin(), matching.end());
+  state.batch_members.insert(state.batch_members.end(), matching.begin(), matching.end());
   if (++state.batch_count >= costs_.pfs_imprecise_batch) flush_batch(state);
 }
 
 void PersistentFilteringSubsystem::sync(std::function<void()> on_durable) {
-  for (auto& [p, state] : pubends_) flush_batch(state);
+  for (PerPubend& state : pubends_) flush_batch(state);
 
   // Capture the state the barrier will cover; it becomes the durable
   // snapshot (and thus DB-committable metadata) at completion. All shards
@@ -283,9 +277,9 @@ void PersistentFilteringSubsystem::sync(std::function<void()> on_durable) {
   };
   std::vector<Snapshot> snaps;
   snaps.reserve(pubends_.size());
-  for (auto& [p, state] : pubends_) {
+  for (PerPubend& state : pubends_) {
     Snapshot snap;
-    snap.pubend = p;
+    snap.pubend = state.id;
     snap.last_timestamp = state.last_timestamp;
     snap.shards.reserve(state.shards.size());
     for (Shard& shard : state.shards) {
@@ -440,7 +434,8 @@ void PersistentFilteringSubsystem::chop_upto(PubendId pubend, Tick upto) {
 
 std::vector<storage::Database::Put> PersistentFilteringSubsystem::dirty_metadata() {
   std::vector<storage::Database::Put> puts;
-  for (auto& [p, state] : pubends_) {
+  for (PerPubend& state : pubends_) {
+    const PubendId p = state.id;
     for (std::size_t k = 0; k < state.shards.size(); ++k) {
       Shard& shard = state.shards[k];
       if (!shard.meta_dirty) continue;

@@ -40,10 +40,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -52,6 +49,7 @@
 #include "storage/log_volume.hpp"
 #include "util/ids.hpp"
 #include "util/interval_set.hpp"
+#include "util/pubend_slots.hpp"
 #include "util/time.hpp"
 
 namespace gryphon::core {
@@ -175,7 +173,9 @@ class PersistentFilteringSubsystem {
     Tick batch_first = kTickZero;
     Tick batch_last = kTickZero;
     std::size_t batch_count = 0;
-    std::set<SubscriberId> batch_union;
+    /// Every batched tick's matching list, concatenated; sorted and
+    /// deduplicated into the union when the batch flushes.
+    std::vector<SubscriberId> batch_members;
   };
 
   struct Record {
@@ -196,13 +196,14 @@ class PersistentFilteringSubsystem {
   void write_sharded(PerPubend& state, TickRange range,
                      const std::vector<SubscriberId>& matching);
 
-  PerPubend& per(PubendId p);
-  [[nodiscard]] const PerPubend& per(PubendId p) const;
+  PerPubend& per(PubendId p) { return pubends_[slots_.at(p)]; }
+  [[nodiscard]] const PerPubend& per(PubendId p) const { return pubends_[slots_.at(p)]; }
 
   NodeResources& res_;
   const CostModel& costs_;
   std::size_t shards_;
-  std::map<PubendId, PerPubend> pubends_;
+  PubendSlots slots_;               // the opened pubends, ascending id order
+  std::vector<PerPubend> pubends_;  // by slot
   std::vector<std::vector<SubscriberId>> split_scratch_;
 
   std::uint64_t records_written_ = 0;

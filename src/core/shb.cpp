@@ -45,15 +45,16 @@ SubscriberHostingBroker::SubscriberHostingBroker(NodeResources& resources,
                                                  const std::vector<PubendId>& pubends)
     : Broker(resources, config),
       pubend_ids_(pubends),
-      sub_shards_(std::max<std::size_t>(1, config_.pfs_shards)),
+      slots_(pubends),
       pfs_(resources, config_.costs, std::max<std::size_t>(1, config_.pfs_shards)) {
+  GRYPHON_CHECK_MSG(slots_.size() == pubend_ids_.size(), "duplicate pubend id");
   auto& m = res_.metrics;
-  for (PubendId p : pubend_ids_) {
-    PerPubend state;
-    state.id = p;
+  pubends_.resize(slots_.size());
+  for (std::size_t k = 0; k < slots_.size(); ++k) {
+    PerPubend& state = pubends_[k];
+    state.id = slots_.id(k);
     state.g_latest_delivered =
-        m.gauge("shb.p" + std::to_string(p.value()) + ".latest_delivered");
-    pubends_.emplace(p, std::move(state));
+        m.gauge("shb.p" + std::to_string(state.id.value()) + ".latest_delivered");
   }
   m_matched_ = m.counter("shb.matched");
   m_constream_deliveries_ = m.counter("shb.constream_deliveries");
@@ -69,9 +70,9 @@ SubscriberHostingBroker::SubscriberHostingBroker(NodeResources& resources,
   m_catchup_admitted_ = m.counter("shb.catchup_admitted");
   m_catchup_queued_ = m.counter("shb.catchup_queued");
   m_pfs_read_records_ = m.histogram("shb.pfs_read_records", 1.0, 1e6);
-  // Snapshot-time probes over stream positions (std::map nodes are stable).
-  for (auto& [p, state] : pubends_) {
-    const std::string prefix = "shb.p" + std::to_string(p.value()) + ".";
+  // Snapshot-time probes over stream positions (pubends_ is never resized).
+  for (PerPubend& state : pubends_) {
+    const std::string prefix = "shb.p" + std::to_string(state.id.value()) + ".";
     PerPubend* raw = &state;
     probes_.push_back(m.probe(prefix + "processed_upto", [raw] {
       return static_cast<double>(raw->processed_upto);
@@ -109,27 +110,15 @@ SubscriberHostingBroker::SubscriberHostingBroker(NodeResources& resources,
   }));
 }
 
-SubscriberHostingBroker::PerPubend& SubscriberHostingBroker::per(PubendId p) {
-  auto it = pubends_.find(p);
-  GRYPHON_CHECK_MSG(it != pubends_.end(), "unknown pubend " << p);
-  return it->second;
-}
-
-const SubscriberHostingBroker::PerPubend& SubscriberHostingBroker::per(PubendId p) const {
-  auto it = pubends_.find(p);
-  GRYPHON_CHECK_MSG(it != pubends_.end(), "unknown pubend " << p);
-  return it->second;
-}
-
-std::map<SubscriberId, SubscriberHostingBroker::SubscriberState>&
-SubscriberHostingBroker::shard_map(SubscriberId s) {
-  return sub_shards_[subscriber_shard(s, sub_shards_.size())];
-}
-
 SubscriberHostingBroker::SubscriberState* SubscriberHostingBroker::try_sub(SubscriberId s) {
-  auto& shard = shard_map(s);
-  auto it = shard.find(s);
-  return it == shard.end() ? nullptr : &it->second;
+  auto it = subs_.find(s);
+  return it == subs_.end() ? nullptr : &it->second;
+}
+
+std::size_t SubscriberHostingBroker::open_catchups(const SubscriberState& s) {
+  return static_cast<std::size_t>(
+      std::count_if(s.per_pubend.begin(), s.per_pubend.end(),
+                    [](const SubscriberPubend& e) { return e.catchup != nullptr; }));
 }
 
 SubscriberHostingBroker::SubscriberState& SubscriberHostingBroker::sub(SubscriberId s) {
@@ -139,11 +128,10 @@ SubscriberHostingBroker::SubscriberState& SubscriberHostingBroker::sub(Subscribe
 }
 
 bool SubscriberHostingBroker::raise_released(SubscriberState& s, PubendId p, Tick t) {
-  auto r = s.released.find(p);
-  GRYPHON_CHECK(r != s.released.end());
-  if (t <= r->second) return false;
-  per(p).released.move(r->second, t);
-  r->second = t;
+  Tick& released = entry(s, p).released;
+  if (t <= released) return false;
+  per(p).released.move(released, t);
+  released = t;
   return true;
 }
 
@@ -164,14 +152,14 @@ void SubscriberHostingBroker::recover() {
   pfs_.open(pubend_ids_);  // loads + repairs PFS metadata from the log
 
   // latestDelivered(p): the constream resumes from here (paper §4.1).
-  for (auto& [p, state] : pubends_) {
-    if (auto v = res_.database.get(kLdTable, std::to_string(p.value()))) {
+  for (PerPubend& state : pubends_) {
+    if (auto v = res_.database.get(kLdTable, std::to_string(state.id.value()))) {
       state.latest_delivered = decode_i64(*v);
     }
     state.g_latest_delivered->set(static_cast<double>(state.latest_delivered));
     state.processed_upto = state.latest_delivered;
     state.istream = routing::TickMap(state.latest_delivered);
-    committed_ld_[p] = state.latest_delivered;
+    state.committed_ld = state.latest_delivered;
   }
 
   // Durable subscriptions + released(s,p).
@@ -182,9 +170,9 @@ void SubscriberHostingBroker::recover() {
     s.jms_auto_ack = r.get_u8() != 0;
     s.predicate_text = r.get_string();
     s.predicate = matching::parse_predicate(s.predicate_text);
-    for (PubendId p : pubend_ids_) s.released[p] = kTickZero;
+    s.per_pubend.resize(slots_.size());
     hosted_.add(s.id, s.predicate);
-    shard_map(s.id).emplace(s.id, std::move(s));
+    subs_.emplace(s.id, std::move(s));
   }
   for (const auto& [key, value] : res_.database.scan(kReleasedTable)) {
     const auto colon = key.find(':');
@@ -193,11 +181,13 @@ void SubscriberHostingBroker::recover() {
     const PubendId p{static_cast<std::uint32_t>(std::stoul(key.substr(colon + 1)))};
     SubscriberState* found = try_sub(sid);
     if (found == nullptr) continue;
-    found->released[p] = decode_i64(value);
+    entry(*found, p).released = decode_i64(value);
   }
-  for_each_sub([this](const SubscriberState& s) {
-    for (const auto& [p, t] : s.released) per(p).released.add(t);
-  });
+  for (const auto& [sid, s] : subs_) {
+    for (std::size_t k = 0; k < slots_.size(); ++k) {
+      pubends_[k].released.add(s.per_pubend[k].released);
+    }
+  }
 
   // Re-announce subscriptions upstream (idempotent) and resume the streams
   // from latestDelivered — everything after it is re-nacked (Fig. 7).
@@ -239,7 +229,7 @@ Tick SubscriberHostingBroker::released(PubendId p) const {
 
 std::size_t SubscriberHostingBroker::catchup_stream_count() const {
   std::size_t n = 0;
-  for (const auto& [p, state] : pubends_) n += state.catchup_delivered.size();
+  for (const PerPubend& state : pubends_) n += state.catchup_delivered.size();
   return n;
 }
 
@@ -254,13 +244,12 @@ Tick SubscriberHostingBroker::istream_origin(PubendId p) const {
 std::vector<std::pair<SubscriberId, Tick>> SubscriberHostingBroker::catchup_positions(
     PubendId p) const {
   std::vector<std::pair<SubscriberId, Tick>> out;
-  for (const auto& shard : sub_shards_) {
-    for (const auto& [sid, s] : shard) {
-      if (auto it = s.catchup.find(p); it != s.catchup.end()) {
-        out.emplace_back(sid, it->second->delivered_upto);
-      }
+  const std::size_t k = slots_.at(p);
+  for_each_sub([&](const SubscriberState& s) {
+    if (const CatchupStream* cs = s.per_pubend[k].catchup.get(); cs != nullptr) {
+      out.emplace_back(s.id, cs->delivered_upto);
     }
-  }
+  });
   return out;
 }
 
@@ -337,7 +326,8 @@ void SubscriberHostingBroker::on_stream_data(const StreamDataMsg& msg) {
 }
 
 void SubscriberHostingBroker::advance_constream(PubendId p) {
-  PerPubend& state = per(p);
+  const std::size_t slot = slots_.at(p);
+  PerPubend& state = pubends_[slot];
   const Tick dh = state.istream.doubt_horizon(state.processed_upto);
   if (dh <= state.processed_upto) return;
 
@@ -371,11 +361,10 @@ void SubscriberHostingBroker::advance_constream(PubendId p) {
         }
         for (SubscriberId sid : matches) {
           SubscriberState& s = sub(sid);
-          if (!s.connected || s.catchup.contains(p)) continue;
-          if (auto it = s.suppress_upto.find(p);
-              it != s.suppress_upto.end() && t <= it->second) {
-            continue;
-          }
+          if (!s.connected) continue;
+          const SubscriberPubend& e = s.per_pubend[slot];
+          if (e.catchup != nullptr) continue;
+          if (e.suppress_upto && t <= *e.suppress_upto) continue;
           sends.push_back({sid, s.session, t, event, s.jms_auto_ack});
           if (!s.jms_auto_ack) ++direct_sends;
         }
@@ -428,8 +417,8 @@ void SubscriberHostingBroker::request_pfs_sync() {
   pfs_unsynced_ = 0;
   pfs_.sync(guarded([this] {
     pfs_sync_scheduled_ = false;
-    for (auto& [p, state] : pubends_) {
-      const Tick durable = pfs_.durable_timestamp(p);
+    for (PerPubend& state : pubends_) {
+      const Tick durable = pfs_.durable_timestamp(state.id);
       while (!state.pending_pfs.empty() && state.pending_pfs.front() <= durable) {
         state.pending_pfs.pop_front();
       }
@@ -445,7 +434,7 @@ void SubscriberHostingBroker::deliver_to_subscriber(SubscriberState& s, PubendId
                                                     bool catchup) {
   auto msg = std::make_shared<EventDeliveryMsg>(s.id, p, tick, std::move(event), catchup);
   s.last_delivery = now();
-  s.silence_sent_upto[p] = tick;
+  entry(s, p).silence_sent_upto = tick;
   (catchup ? m_catchup_deliveries_ : m_constream_deliveries_)->inc();
   res_.tracer.record(now(), p.value(), tick,
                      catchup ? TraceMilestone::kDeliverCatchup
@@ -522,13 +511,14 @@ void SubscriberHostingBroker::on_connect(sim::EndpointId from, const ConnectMsg&
     // A brand-new subscriber starts at the constream's delivery position
     // (the paper's latestDelivered): born non-catchup, owing nothing older
     // than its creation. A migrated one starts at its CT.
+    s.per_pubend.resize(slots_.size());
     for (PubendId p : pubend_ids_) {
-      s.released[p] = migration ? msg.ct.of(p) : per(p).processed_upto;
-      per(p).released.add(s.released[p]);
+      const Tick released = migration ? msg.ct.of(p) : per(p).processed_upto;
+      entry(s, p).released = released;
+      per(p).released.add(released);
     }
     hosted_.add(s.id, s.predicate);
-    SubscriberState& stored =
-        shard_map(s.id).emplace(s.id, std::move(s)).first->second;
+    SubscriberState& stored = subs_.emplace(s.id, std::move(s)).first->second;
     send(parent_, std::make_shared<SubscribeMsg>(msg.subscriber, msg.predicate_text));
 
     // The subscription must be durable before the client is told it exists.
@@ -537,7 +527,7 @@ void SubscriberHostingBroker::on_connect(sim::EndpointId from, const ConnectMsg&
                     encode_sub_row(msg.jms_auto_ack, msg.predicate_text)});
     for (PubendId p : pubend_ids_) {
       puts.push_back({kReleasedTable, rel_key(msg.subscriber, p),
-                      encode_i64(stored.released.at(p))});
+                      encode_i64(entry(stored, p).released)});
     }
     // The session starts only when both the durable rows are committed and
     // the pubend acknowledged the subscription filter (maybe_finish_setup).
@@ -568,7 +558,7 @@ void SubscriberHostingBroker::on_connect(sim::EndpointId from, const ConnectMsg&
   CheckpointToken ct;
   if (msg.first_connect || msg.use_stored_ct) {
     // Duplicate first-connect (lost ConnectedMsg) or JMS-style SHB-held CT.
-    for (PubendId p : pubend_ids_) ct.set(p, s.released.at(p));
+    for (PubendId p : pubend_ids_) ct.set(p, entry(s, p).released);
   } else {
     ct = msg.ct;
   }
@@ -629,7 +619,6 @@ void SubscriberHostingBroker::create_or_resume_session(SubscriberState& s,
   s.jms_queue.clear();
   s.jms_commit_inflight = false;
   release_all_catchup(s);
-  s.catchup.clear();
   s.catchup_tokens = 0.0;
   s.catchup_refill = now();
 
@@ -643,7 +632,7 @@ void SubscriberHostingBroker::create_or_resume_session(SubscriberState& s,
     const Tick base = ct.of(p);
     if (raise_released(s, p, base)) dirty_released_.emplace(s.id, p);
     if (base >= state.processed_upto) {
-      s.suppress_upto[p] = base;  // nothing missed: non-catchup from birth
+      entry(s, p).suppress_upto = base;  // nothing missed: non-catchup from birth
     } else {
       auto cs = std::make_unique<CatchupStream>(base);
       cs->refilter = refilter_catchup;
@@ -653,7 +642,7 @@ void SubscriberHostingBroker::create_or_resume_session(SubscriberState& s,
           cs->distrust_upto = dit->second;
         }
       }
-      s.catchup.emplace(p, std::move(cs));
+      entry(s, p).catchup = std::move(cs);
       state.catchup_delivered.add(base);
       m_catchup_opened_->inc();
       any_catchup = true;
@@ -669,7 +658,7 @@ void SubscriberHostingBroker::create_or_resume_session(SubscriberState& s,
 
   if (any_catchup) {
     for (PubendId p : pubend_ids_) {
-      if (s.catchup.contains(p)) admit_or_queue_catchup(s, p);
+      if (catchup_of(s, p) != nullptr) admit_or_queue_catchup(s, p);
     }
   }
 }
@@ -677,9 +666,9 @@ void SubscriberHostingBroker::create_or_resume_session(SubscriberState& s,
 // ------------------------------------------------- catchup admission control
 
 void SubscriberHostingBroker::admit_or_queue_catchup(SubscriberState& s, PubendId p) {
-  auto cit = s.catchup.find(p);
-  GRYPHON_CHECK(cit != s.catchup.end());
-  CatchupStream& cs = *cit->second;
+  CatchupStream* found = catchup_of(s, p);
+  GRYPHON_CHECK(found != nullptr);
+  CatchupStream& cs = *found;
   const std::size_t limit = config_.costs.catchup_admission_limit;
   if (limit == 0 || catchup_active_ < limit) {
     cs.admitted = true;
@@ -701,9 +690,9 @@ void SubscriberHostingBroker::admit_or_queue_catchup(SubscriberState& s, PubendI
 }
 
 void SubscriberHostingBroker::activate_catchup(SubscriberState& s, PubendId p) {
-  auto cit = s.catchup.find(p);
-  if (cit == s.catchup.end()) return;
-  if (cit->second->refilter) {
+  const CatchupStream* cs = catchup_of(s, p);
+  if (cs == nullptr) return;
+  if (cs->refilter) {
     pump_catchup_nacks(s, p);
     advance_catchup(s, p);
   } else {
@@ -723,9 +712,15 @@ void SubscriberHostingBroker::release_catchup_slot(CatchupStream& cs) {
 }
 
 void SubscriberHostingBroker::release_all_catchup(SubscriberState& s) {
-  for (auto& [p, cs] : s.catchup) {
+  // Callers end the session first, so the drain that a freed slot runs
+  // skips s's own queued entries and never reaches back into s. Each
+  // stream is detached from its entry before its slot is released; the
+  // per_pubend vector itself is never resized.
+  for (std::size_t k = 0; k < s.per_pubend.size(); ++k) {
+    std::unique_ptr<CatchupStream> cs = std::move(s.per_pubend[k].catchup);
+    if (cs == nullptr) continue;
     release_catchup_slot(*cs);
-    per(p).catchup_delivered.remove(cs->delivered_upto);
+    pubends_[k].catchup_delivered.remove(cs->delivered_upto);
   }
 }
 
@@ -741,9 +736,9 @@ void SubscriberHostingBroker::drain_admission_queue() {
     admission_queue_.pop_front();
     SubscriberState* found = try_sub(next.sid);
     if (found == nullptr || found->session != next.session) continue;
-    auto cit = found->catchup.find(next.p);
-    if (cit == found->catchup.end() || cit->second->admitted) continue;
-    CatchupStream& cs = *cit->second;
+    CatchupStream* stream = catchup_of(*found, next.p);
+    if (stream == nullptr || stream->admitted) continue;
+    CatchupStream& cs = *stream;
     cs.admitted = true;
     --catchup_queued_;
     ++catchup_active_;
@@ -762,9 +757,8 @@ void SubscriberHostingBroker::on_disconnect(const DisconnectMsg& msg) {
   s.connected = false;
   connected_.erase(s.id);
   ++s.session;
-  m_catchup_closed_->inc(s.catchup.size());
+  m_catchup_closed_->inc(open_catchups(s));
   release_all_catchup(s);
-  s.catchup.clear();
   s.jms_queue.clear();
   s.jms_commit_inflight = false;
 }
@@ -774,8 +768,8 @@ void SubscriberHostingBroker::on_ack(const AckMsg& msg) {
   if (found == nullptr) return;
   SubscriberState& s = *found;
   for (const auto& [p, t] : msg.ct.entries()) {
-    if (!pubends_.contains(p)) continue;
-    const Tick before = s.released.at(p);
+    if (!slots_.contains(p)) continue;
+    const Tick before = entry(s, p).released;
     if (raise_released(s, p, t)) {
       res_.tracer.record_range(now(), p.value(), before + 1, t, TraceMilestone::kAck,
                                s.id.value());
@@ -803,8 +797,10 @@ void SubscriberHostingBroker::on_unsubscribe_req(const UnsubscribeReqMsg& msg) {
   connected_.erase(msg.subscriber);
   ++s.session;
   release_all_catchup(s);
-  for (const auto& [p, t] : s.released) per(p).released.remove(t);
-  shard_map(msg.subscriber).erase(msg.subscriber);
+  for (std::size_t k = 0; k < slots_.size(); ++k) {
+    pubends_[k].released.remove(s.per_pubend[k].released);
+  }
+  subs_.erase(msg.subscriber);
   send(parent_, std::make_shared<UnsubscribeMsg>(msg.subscriber));
 }
 
@@ -817,9 +813,9 @@ void SubscriberHostingBroker::add_outstanding(SubscriberState& s, CatchupStream&
 }
 
 void SubscriberHostingBroker::issue_pfs_read(SubscriberState& s, PubendId p) {
-  auto cit = s.catchup.find(p);
-  if (cit == s.catchup.end()) return;
-  CatchupStream& cs = *cit->second;
+  CatchupStream* stream = catchup_of(s, p);
+  if (stream == nullptr) return;
+  CatchupStream& cs = *stream;
   GRYPHON_CHECK_MSG(!cs.refilter, "refiltering streams never read the PFS");
   if (!cs.admitted) return;  // inert until an admission slot frees up
   if (cs.pfs_read_inflight) return;
@@ -835,9 +831,9 @@ void SubscriberHostingBroker::issue_pfs_read(SubscriberState& s, PubendId p) {
         SubscriberState* found = try_sub(sid);
         if (found == nullptr || found->session != session) return;
         SubscriberState& s2 = *found;
-        auto cit2 = s2.catchup.find(p);
-        if (cit2 == s2.catchup.end()) return;
-        CatchupStream& cs2 = *cit2->second;
+        CatchupStream* stream2 = catchup_of(s2, p);
+        if (stream2 == nullptr) return;
+        CatchupStream& cs2 = *stream2;
         cs2.pfs_read_inflight = false;
 
         // Walking the back-pointer chain costs CPU per record traversed.
@@ -981,9 +977,9 @@ SimDuration SubscriberHostingBroker::nack_backoff_delay(std::uint64_t salt,
 
 void SubscriberHostingBroker::schedule_catchup_nack_retry(SubscriberState& s,
                                                           PubendId p) {
-  auto cit = s.catchup.find(p);
-  if (cit == s.catchup.end()) return;
-  CatchupStream& cs = *cit->second;
+  CatchupStream* stream = catchup_of(s, p);
+  if (stream == nullptr) return;
+  CatchupStream& cs = *stream;
   if (cs.nack_retry_scheduled || cs.outstanding.empty()) return;
   cs.nack_retry_scheduled = true;
   const std::uint64_t salt = (static_cast<std::uint64_t>(s.id.value()) << 32) |
@@ -992,9 +988,9 @@ void SubscriberHostingBroker::schedule_catchup_nack_retry(SubscriberState& s,
         [this, sid = s.id, session = s.session, p, progress = cs.nack_progress] {
           SubscriberState* found = try_sub(sid);
           if (found == nullptr || found->session != session) return;
-          auto cit2 = found->catchup.find(p);
-          if (cit2 == found->catchup.end()) return;
-          CatchupStream& cs2 = *cit2->second;
+          CatchupStream* stream2 = catchup_of(*found, p);
+          if (stream2 == nullptr) return;
+          CatchupStream& cs2 = *stream2;
           cs2.nack_retry_scheduled = false;
           if (cs2.outstanding.empty()) {
             cs2.nack_attempt = 0;
@@ -1066,9 +1062,9 @@ void SubscriberHostingBroker::schedule_setup_retry(SubscriberId sid) {
 }
 
 void SubscriberHostingBroker::pump_catchup_nacks(SubscriberState& s, PubendId p) {
-  auto cit = s.catchup.find(p);
-  if (cit == s.catchup.end()) return;
-  CatchupStream& cs = *cit->second;
+  CatchupStream* stream = catchup_of(s, p);
+  if (stream == nullptr) return;
+  CatchupStream& cs = *stream;
   if (!cs.admitted) return;  // inert until an admission slot frees up
   PerPubend& state = per(p);
 
@@ -1123,17 +1119,17 @@ void SubscriberHostingBroker::pump_catchup_nacks(SubscriberState& s, PubendId p)
       schedule_catchup_nack_retry(s, p);
     }
     advance_catchup(s, p);
-    if (auto cit2 = s.catchup.find(p);
-        cit2 != s.catchup.end() && !cit2->second->repump_scheduled &&
-        cit2->second->scan_cursor < state.processed_upto) {
-      cit2->second->repump_scheduled = true;
+    if (CatchupStream* cs2 = catchup_of(s, p);
+        cs2 != nullptr && !cs2->repump_scheduled &&
+        cs2->scan_cursor < state.processed_upto) {
+      cs2->repump_scheduled = true;
       defer(config_.costs.catchup_pump_interval,
             [this, sid = s.id, session = s.session, p] {
               SubscriberState* found = try_sub(sid);
               if (found == nullptr || found->session != session) return;
-              auto cit3 = found->catchup.find(p);
-              if (cit3 == found->catchup.end()) return;
-              cit3->second->repump_scheduled = false;
+              CatchupStream* cs3 = catchup_of(*found, p);
+              if (cs3 == nullptr) return;
+              cs3->repump_scheduled = false;
               pump_catchup_nacks(*found, p);
             });
     }
@@ -1185,17 +1181,16 @@ void SubscriberHostingBroker::pump_catchup_nacks(SubscriberState& s, PubendId p)
   }
 
   // Token-starved with work left: come back when the bucket refills.
-  if (auto cit2 = s.catchup.find(p);
-      cit2 != s.catchup.end() && !cit2->second->unnacked_q.empty() &&
-      !cit2->second->repump_scheduled) {
-    cit2->second->repump_scheduled = true;
+  if (CatchupStream* cs2 = catchup_of(s, p);
+      cs2 != nullptr && !cs2->unnacked_q.empty() && !cs2->repump_scheduled) {
+    cs2->repump_scheduled = true;
     defer(config_.costs.catchup_pump_interval,
           [this, sid = s.id, session = s.session, p] {
             SubscriberState* found = try_sub(sid);
             if (found == nullptr || found->session != session) return;
-            auto cit3 = found->catchup.find(p);
-            if (cit3 == found->catchup.end()) return;
-            cit3->second->repump_scheduled = false;
+            CatchupStream* cs3 = catchup_of(*found, p);
+            if (cs3 == nullptr) return;
+            cs3->repump_scheduled = false;
             pump_catchup_nacks(*found, p);
             advance_catchup(*found, p);
           });
@@ -1208,12 +1203,13 @@ void SubscriberHostingBroker::route_to_catchup_streams(
   // covers the awaiting set, not every catchup stream. It is live and in id
   // order: a body can switch streams over or admit queued ones (which may
   // join the set), so each step re-seeks past the id it just visited.
-  std::set<SubscriberId>& awaiting = per(p).awaiting;
-  const auto awaiting_stream = [p](SubscriberState* s) -> CatchupStream* {
+  const std::size_t slot = slots_.at(p);
+  std::set<SubscriberId>& awaiting = pubends_[slot].awaiting;
+  const auto awaiting_stream = [slot](SubscriberState* s) -> CatchupStream* {
     if (s == nullptr) return nullptr;
-    auto cit = s->catchup.find(p);
-    if (cit == s->catchup.end() || cit->second->outstanding.empty()) return nullptr;
-    return cit->second.get();
+    CatchupStream* cs = s->per_pubend[slot].catchup.get();
+    if (cs == nullptr || cs->outstanding.empty()) return nullptr;
+    return cs;
   };
   std::uint64_t visits = 0;
   auto it = awaiting.begin();
@@ -1276,9 +1272,9 @@ void SubscriberHostingBroker::route_to_catchup_streams(
 }
 
 void SubscriberHostingBroker::advance_catchup(SubscriberState& s, PubendId p) {
-  auto cit = s.catchup.find(p);
-  if (cit == s.catchup.end()) return;
-  CatchupStream& cs = *cit->second;
+  CatchupStream* stream = catchup_of(s, p);
+  if (stream == nullptr) return;
+  CatchupStream& cs = *stream;
   PerPubend& state = per(p);
 
   const Tick dh =
@@ -1350,8 +1346,8 @@ void SubscriberHostingBroker::advance_catchup(SubscriberState& s, PubendId p) {
   // Paper §4.2/§5.3: the next read is triggered once the current buffer has
   // been fully nacked and its events delivered, if the constream has moved
   // on. (Refiltering streams are driven by their scan pump instead.)
-  if (auto cit2 = s.catchup.find(p); cit2 != s.catchup.end()) {
-    CatchupStream& cs2 = *cit2->second;
+  if (CatchupStream* stream2 = catchup_of(s, p); stream2 != nullptr) {
+    CatchupStream& cs2 = *stream2;
     if (!cs2.refilter && !cs2.pfs_read_inflight && cs2.unnacked_q.empty() &&
         cs2.outstanding.empty() && cs2.pfs_read_from < state.processed_upto) {
       issue_pfs_read(s, p);
@@ -1360,9 +1356,9 @@ void SubscriberHostingBroker::advance_catchup(SubscriberState& s, PubendId p) {
 }
 
 void SubscriberHostingBroker::maybe_switchover(SubscriberState& s, PubendId p) {
-  auto cit = s.catchup.find(p);
-  if (cit == s.catchup.end()) return;
-  CatchupStream& cs = *cit->second;
+  SubscriberPubend& e = entry(s, p);
+  if (e.catchup == nullptr) return;
+  CatchupStream& cs = *e.catchup;
   PerPubend& state = per(p);
   // Paper §4.1: switchover once the catchup doubt horizon reaches
   // latestDelivered(p). The (latestDelivered, processed_upto] tail — ticks
@@ -1394,10 +1390,10 @@ void SubscriberHostingBroker::maybe_switchover(SubscriberState& s, PubendId p) {
                             << " at tick " << state.processed_upto);
   res_.tracer.record(now(), p.value(), state.processed_upto,
                      TraceMilestone::kCatchupCaughtUp, s.id.value());
-  s.suppress_upto[p] = state.processed_upto;
+  e.suppress_upto = state.processed_upto;
   release_catchup_slot(cs);
   state.catchup_delivered.remove(cs.delivered_upto);
-  s.catchup.erase(cit);
+  e.catchup.reset();
   m_catchup_closed_->inc();
   m_switchovers_->inc();
 
@@ -1420,7 +1416,7 @@ void SubscriberHostingBroker::maybe_switchover(SubscriberState& s, PubendId p) {
 }
 
 void SubscriberHostingBroker::check_all_caught_up(SubscriberState& s) {
-  if (!s.catchup.empty()) return;
+  if (open_catchups(s) > 0) return;
   GRYPHON_LOG(kInfo, res_.name, "subscriber " << s.id << " caught up on all pubends");
   ++stats_.catchup_completions;
   m_catchup_completions_->inc();
@@ -1430,7 +1426,8 @@ void SubscriberHostingBroker::check_all_caught_up(SubscriberState& s) {
 // ----------------------------------------------------- curiosity & timers
 
 void SubscriberHostingBroker::nack_istream_gaps() {
-  for (auto& [p, state] : pubends_) {
+  for (PerPubend& state : pubends_) {
+    const PubendId p = state.id;
     const Tick head = state.istream.head();
     if (head <= state.processed_upto) continue;
     const Tick limit =
@@ -1453,7 +1450,8 @@ void SubscriberHostingBroker::nack_istream_gaps() {
 }
 
 void SubscriberHostingBroker::send_release_updates() {
-  for (auto& [p, state] : pubends_) {
+  for (PerPubend& state : pubends_) {
+    const PubendId p = state.id;
     const Tick rel = released(p);
     send(parent_, std::make_shared<ReleaseUpdateMsg>(p, rel, state.latest_delivered));
     // Filtering records below released(p) can never be read again.
@@ -1463,18 +1461,17 @@ void SubscriberHostingBroker::send_release_updates() {
 
 void SubscriberHostingBroker::commit_dirty_state() {
   std::vector<storage::Database::Put> puts;
-  for (auto& [p, state] : pubends_) {
-    auto it = committed_ld_.find(p);
-    if (it == committed_ld_.end() || it->second != state.latest_delivered) {
-      puts.push_back({kLdTable, std::to_string(p.value()),
+  for (PerPubend& state : pubends_) {
+    if (state.committed_ld != state.latest_delivered) {
+      puts.push_back({kLdTable, std::to_string(state.id.value()),
                       encode_i64(state.latest_delivered)});
-      committed_ld_[p] = state.latest_delivered;
+      state.committed_ld = state.latest_delivered;
     }
   }
   for (const auto& [sid, p] : dirty_released_) {
-    const SubscriberState* found = try_sub(sid);
+    SubscriberState* found = try_sub(sid);
     if (found == nullptr) continue;
-    puts.push_back({kReleasedTable, rel_key(sid, p), encode_i64(found->released.at(p))});
+    puts.push_back({kReleasedTable, rel_key(sid, p), encode_i64(entry(*found, p).released)});
   }
   dirty_released_.clear();
   for (auto& put : pfs_.dirty_metadata()) puts.push_back(std::move(put));
@@ -1489,9 +1486,10 @@ void SubscriberHostingBroker::silence_sweep() {
     SubscriberState& s = sub(sid);
     if (now() - s.last_delivery < config_.costs.subscriber_silence_after) continue;
     for (PubendId p : pubend_ids_) {
-      if (s.catchup.contains(p)) continue;  // the catchup stream handles it
+      SubscriberPubend& e = entry(s, p);
+      if (e.catchup != nullptr) continue;  // the catchup stream handles it
       const Tick upto = per(p).processed_upto;
-      Tick& sent = s.silence_sent_upto[p];
+      Tick& sent = e.silence_sent_upto;
       if (upto <= sent) continue;
       sent = upto;
       if (s.jms_auto_ack) {
@@ -1518,7 +1516,7 @@ void SubscriberHostingBroker::silence_sweep() {
                  if (found == nullptr) return;
                  SubscriberState& s2 = *found;
                  if (!s2.connected || s2.session != session) return;
-                 if (s2.catchup.contains(p)) return;
+                 if (catchup_of(s2, p) != nullptr) return;
                  send(s2.client, std::make_shared<SilenceDeliveryMsg>(sid2, p, upto));
                  ++stats_.silences_sent;
                  m_silences_->inc();

@@ -22,19 +22,23 @@
 // re-nacked from upstream (the Fig. 7 "constream nacking" phase).
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "core/broker.hpp"
 #include "core/pfs.hpp"
+#include "core/sharding.hpp"
 #include "matching/parser.hpp"
 #include "matching/subscription_index.hpp"
 #include "routing/tick_map.hpp"
+#include "util/pubend_slots.hpp"
 
 namespace gryphon::core {
 
@@ -133,6 +137,16 @@ class SubscriberHostingBroker final : public Broker {
     bool nack_retry_scheduled = false;
   };
 
+  /// Per-(subscriber, pubend) session state: one entry per hosted pubend,
+  /// indexed by the pubend's slot (DESIGN.md §6), so a delivery reaches it
+  /// with no tree walk.
+  struct SubscriberPubend {
+    Tick released = kTickZero;           // released(s,p)
+    std::optional<Tick> suppress_upto;   // constream join point, if any
+    Tick silence_sent_upto = kTickZero;
+    std::unique_ptr<CatchupStream> catchup;  // open catchup stream, if any
+  };
+
   struct SubscriberState {
     SubscriberId id{};
     std::string predicate_text;
@@ -147,10 +161,9 @@ class SubscriberHostingBroker final : public Broker {
     // catchup streams): refilled at catchup_rate_limit_eps.
     double catchup_tokens = 0.0;
     SimTime catchup_refill = 0;
-    std::map<PubendId, Tick> released;       // released(s,p)
-    std::map<PubendId, Tick> suppress_upto;  // constream join points
-    std::map<PubendId, Tick> silence_sent_upto;
-    std::map<PubendId, std::unique_ptr<CatchupStream>> catchup;
+    /// Sized once to the hosted pubends and never resized, so references
+    /// into it stay valid for the subscription's lifetime.
+    std::vector<SubscriberPubend> per_pubend;
     // JMS auto-acknowledge: per-subscriber delivery gate + queue.
     std::deque<std::pair<PubendId, std::shared_ptr<const EventDeliveryMsg>>> jms_queue;
     bool jms_commit_inflight = false;
@@ -215,21 +228,42 @@ class SubscriberHostingBroker final : public Broker {
     /// Registry slot mirroring latest_delivered (figure benches plot it
     /// directly from the node registry); resolved at broker construction.
     MetricsRegistry::Gauge* g_latest_delivered = nullptr;
+    /// Last DB-committed latest_delivered (absent until the first commit).
+    std::optional<Tick> committed_ld;
   };
 
-  PerPubend& per(PubendId p);
-  [[nodiscard]] const PerPubend& per(PubendId p) const;
+  PerPubend& per(PubendId p) { return pubends_[slots_.at(p)]; }
+  [[nodiscard]] const PerPubend& per(PubendId p) const {
+    return pubends_[slots_.at(p)];
+  }
+  SubscriberPubend& entry(SubscriberState& s, PubendId p) {
+    return s.per_pubend[slots_.at(p)];
+  }
+  /// s's open catchup stream for p, or nullptr.
+  CatchupStream* catchup_of(SubscriberState& s, PubendId p) {
+    return entry(s, p).catchup.get();
+  }
+  /// Number of s's pubends with an open catchup stream.
+  [[nodiscard]] static std::size_t open_catchups(const SubscriberState& s);
   SubscriberState& sub(SubscriberId s);
-  /// Shard-local lookup; nullptr when the subscriber is not hosted here.
+  /// Hashed lookup; nullptr when the subscriber is not hosted here.
   SubscriberState* try_sub(SubscriberId s);
-  std::map<SubscriberId, SubscriberState>& shard_map(SubscriberId s);
-  /// Visits every hosted subscription, shard by shard (id order within a
-  /// shard; identical to the old flat-map order when pfs_shards == 1).
+  /// Visits every hosted subscription sorted by (PFS shard, id) — plain id
+  /// order when pfs_shards == 1 — so full walks (recovery's re-announce)
+  /// follow the PFS layout, never the hash table's bucket order.
   template <typename F>
-  void for_each_sub(F&& f) {
-    for (auto& shard : sub_shards_) {
-      for (auto& [sid, s] : shard) f(s);
-    }
+  void for_each_sub(F&& f) const {
+    std::vector<const SubscriberState*> order;
+    order.reserve(subs_.size());
+    for (const auto& [sid, s] : subs_) order.push_back(&s);
+    const std::size_t shards = pfs_.shards();
+    std::sort(order.begin(), order.end(),
+              [shards](const SubscriberState* a, const SubscriberState* b) {
+                const std::size_t ka = subscriber_shard(a->id, shards);
+                const std::size_t kb = subscriber_shard(b->id, shards);
+                return ka != kb ? ka < kb : a->id < b->id;
+              });
+    for (const SubscriberState* s : order) f(*s);
   }
   /// Moves released(s,p) forward to t (no-op unless t is newer), keeping
   /// the pubend's released index exact. Returns whether it moved.
@@ -316,10 +350,11 @@ class SubscriberHostingBroker final : public Broker {
 
   sim::EndpointId parent_ = 0;
   std::vector<PubendId> pubend_ids_;
-  std::map<PubendId, PerPubend> pubends_;
-  /// Session table, sharded by subscriber-id hash (core/sharding.hpp); one
-  /// shard with pfs_shards == 1, bit-identical with the old flat map.
-  std::vector<std::map<SubscriberId, SubscriberState>> sub_shards_;
+  PubendSlots slots_;               // hosted pubends, ascending id order
+  std::vector<PerPubend> pubends_;  // by slot; never resized after construction
+  /// Session table. Hashed by id and node-stable: a SubscriberState stays
+  /// put while others are inserted or erased, until its own unsubscribe.
+  std::unordered_map<SubscriberId, SubscriberState> subs_;
   /// Connected subscribers, id-ordered: the silence sweep walks only live
   /// sessions instead of the whole durable population.
   std::set<SubscriberId> connected_;
@@ -328,7 +363,6 @@ class SubscriberHostingBroker final : public Broker {
   PersistentFilteringSubsystem pfs_;
   std::size_t pfs_unsynced_ = 0;
   bool pfs_sync_scheduled_ = false;
-  std::map<PubendId, Tick> committed_ld_;  // last DB-committed latestDelivered
   std::set<std::pair<SubscriberId, PubendId>> dirty_released_;
   std::map<SubscriberId, PendingSetup> pending_setups_;
   Stats stats_;

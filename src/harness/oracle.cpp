@@ -13,9 +13,27 @@ void DeliveryOracle::register_subscriber(const core::DurableSubscriber* client,
   SubState state;
   state.client = client;
   state.predicate = std::move(predicate);
-  state.machine = machine;
-  subs_.emplace(client->id(), std::move(state));
-  machine_rates_.try_emplace(machine, sec(1));
+  state.machine_rate = &machine_rates_.try_emplace(machine, sec(1)).first->second;
+  const SubscriberId id = client->id();
+  if (subs_.emplace(id, std::move(state)).second) {
+    sub_order_.insert(std::upper_bound(sub_order_.begin(), sub_order_.end(), id), id);
+  }
+}
+
+DeliveryOracle::StreamState& DeliveryOracle::stream(SubState& s, PubendId p) {
+  if (p.value() >= s.streams.size()) s.streams.resize(p.value() + 1);
+  return s.streams[p.value()];
+}
+
+const DeliveryOracle::StreamState* DeliveryOracle::find_stream(const SubState& s,
+                                                               PubendId p) {
+  return p.value() < s.streams.size() ? &s.streams[p.value()] : nullptr;
+}
+
+DeliveryOracle::SubState& DeliveryOracle::sub_state(SubscriberId s) {
+  auto it = subs_.find(s);
+  GRYPHON_CHECK_MSG(it != subs_.end(), "unregistered subscriber " << s);
+  return it->second;
 }
 
 void DeliveryOracle::on_published(PublisherId, PubendId pubend, Tick tick,
@@ -23,7 +41,8 @@ void DeliveryOracle::on_published(PublisherId, PubendId pubend, Tick tick,
                                   SimTime publish_time, SimTime ack_time) {
   auto [it, inserted] = published_[pubend].emplace(tick, event);
   if (!inserted) return;  // duplicate ack of a retried publish
-  publish_times_[pubend].emplace(tick, publish_time);
+  if (pubend.value() >= publish_times_.size()) publish_times_.resize(pubend.value() + 1);
+  publish_times_[pubend.value()].emplace(tick, publish_time);
   publish_latency_.add(to_millis(ack_time - publish_time));
   ++published_count_;
 }
@@ -40,21 +59,22 @@ void DeliveryOracle::on_event(SubscriberId s, PubendId p, Tick t,
   GRYPHON_CHECK_MSG(matches,
                     "spurious delivery: event at " << p << ':' << t
                                                    << " does not match subscriber " << s);
-  const bool fresh = state.delivered[p].insert(t);
+  StreamState& st = stream(state, p);
+  const bool fresh = st.delivered.insert(t);
   if (!fresh) note_violation(s, p, t, "duplicate delivery");
   GRYPHON_CHECK_MSG(fresh, "duplicate delivery " << p << ':' << t << " to " << s);
 
   ++delivered_count_;
   delivery_rate_.record(now);
-  machine_rates_.at(state.machine).record(now);
-  if (!catchup) {
-    auto [floor_it, first] = state.constream_floor.try_emplace(p, t);
-    if (!first && t > floor_it->second) floor_it->second = t;
-  }
+  state.machine_rate->record(now);
   if (catchup) {
     ++catchup_delivered_count_;
-  } else if (auto pt = publish_times_.find(p); pt != publish_times_.end()) {
-    if (auto tick_it = pt->second.find(t); tick_it != pt->second.end()) {
+    return;
+  }
+  if (!st.constream_floor || t > *st.constream_floor) st.constream_floor = t;
+  if (p.value() < publish_times_.size()) {
+    const auto& times = publish_times_[p.value()];
+    if (auto tick_it = times.find(t); tick_it != times.end()) {
       e2e_latency_.add(to_millis(now - tick_it->second));
     }
   }
@@ -63,40 +83,36 @@ void DeliveryOracle::on_event(SubscriberId s, PubendId p, Tick t,
 void DeliveryOracle::on_silence(SubscriberId, PubendId, Tick, SimTime) {}
 
 void DeliveryOracle::on_gap(SubscriberId s, PubendId p, TickRange range, SimTime) {
-  auto it = subs_.find(s);
-  GRYPHON_CHECK(it != subs_.end());
-  SubState& state = it->second;
+  SubState& state = sub_state(s);
   GRYPHON_CHECK_MSG(range.from <= range.to,
                     "malformed gap [" << range.from << ',' << range.to << "] for "
                                       << s << " on " << p);
+  StreamState& st = stream(state, p);
   // A gap asserts "these will never arrive" — it may not cover an event we
   // already saw delivered …
-  if (auto d = state.delivered.find(p); d != state.delivered.end()) {
-    const auto covered = d->second.first_in(range.from, range.to);
-    if (covered) note_violation(s, p, *covered, "gap covers delivered event");
-    GRYPHON_CHECK_MSG(!covered, "gap [" << range.from << ',' << range.to << "] to " << s
-                                        << " covers delivered event " << p << ':'
-                                        << covered.value_or(0));
-  }
+  const auto covered = st.delivered.first_in(range.from, range.to);
+  if (covered) note_violation(s, p, *covered, "gap covers delivered event");
+  GRYPHON_CHECK_MSG(!covered, "gap [" << range.from << ',' << range.to << "] to " << s
+                                      << " covers delivered event " << p << ':'
+                                      << covered.value_or(0));
   // … and may not open at/behind the live constream position (the constream
   // is lossless; only catchup may declare holes, always ahead of it).
-  if (auto f = state.constream_floor.find(p); f != state.constream_floor.end()) {
-    if (range.from <= f->second) {
+  if (st.constream_floor) {
+    const Tick floor = *st.constream_floor;
+    if (range.from <= floor) {
       note_violation(s, p, range.from, "gap opens behind the constream position");
     }
-    GRYPHON_CHECK_MSG(range.from > f->second,
+    GRYPHON_CHECK_MSG(range.from > floor,
                       "gap [" << range.from << ',' << range.to << "] to " << s
                               << " opens behind the constream position " << p << ':'
-                              << f->second);
+                              << floor);
   }
-  state.gaps[p].add(range);
+  st.gaps.add(range);
   ++gap_count_;
 }
 
 void DeliveryOracle::on_connected(SubscriberId s, SimTime) {
-  auto it = subs_.find(s);
-  GRYPHON_CHECK(it != subs_.end());
-  SubState& state = it->second;
+  SubState& state = sub_state(s);
   if (!state.saw_first_connect) {
     state.saw_first_connect = true;
     state.start_ct = state.client->checkpoint();
@@ -107,44 +123,34 @@ void DeliveryOracle::on_connected(SubscriberId s, SimTime) {
   // suffix past the CT is legitimately re-deliverable. Forget it; the
   // exactly-once check then requires it to be delivered again.
   const core::CheckpointToken& ct = state.client->checkpoint();
-  for (auto& [p, ticks] : state.delivered) {
-    ticks.erase_above(ct.of(p));
-  }
-  for (auto& [p, gaps] : state.gaps) {
-    if (!gaps.empty()) gaps.subtract(ct.of(p) + 1, kTickInfinity - 1);
-  }
-  for (auto& [p, floor] : state.constream_floor) {
-    floor = std::min(floor, ct.of(p));
-  }
-  // The re-deliverable suffix must be re-verified once it is re-delivered.
-  for (auto& [p, upto] : state.verified_upto) {
-    upto = std::min(upto, ct.of(p));
+  for (std::size_t v = 0; v < state.streams.size(); ++v) {
+    StreamState& st = state.streams[v];
+    const Tick upto = ct.of(PubendId{static_cast<std::uint32_t>(v)});
+    st.delivered.erase_above(upto);
+    if (!st.gaps.empty()) st.gaps.subtract(upto + 1, kTickInfinity - 1);
+    if (st.constream_floor) st.constream_floor = std::min(*st.constream_floor, upto);
+    // The re-deliverable suffix must be re-verified once it is re-delivered.
+    st.verified_upto = std::min(st.verified_upto, upto);
   }
 }
 
 void DeliveryOracle::reset_subscriber(SubscriberId s) {
-  auto it = subs_.find(s);
-  GRYPHON_CHECK(it != subs_.end());
-  it->second.delivered.clear();
-  it->second.gaps.clear();
-  it->second.constream_floor.clear();
-  it->second.verified_upto.clear();
-  it->second.saw_first_connect = false;
+  SubState& state = sub_state(s);
+  state.streams.clear();
+  state.saw_first_connect = false;
 }
 
 void DeliveryOracle::verify_stream(SubscriberId s, const SubState& state, PubendId p,
                                    const std::map<Tick, matching::EventDataPtr>& events,
                                    Tick lo, Tick hi,
                                    std::vector<std::string>& out) const {
-  const auto delivered_it = state.delivered.find(p);
-  const auto gaps_it = state.gaps.find(p);
+  const StreamState* st = find_stream(state, p);
   const Tick upto = state.client->checkpoint().of(p);
   for (auto e = events.upper_bound(lo); e != events.end() && e->first <= hi; ++e) {
     const Tick t = e->first;
     if (!state.predicate->matches(*e->second)) continue;
-    const bool got =
-        delivered_it != state.delivered.end() && delivered_it->second.contains(t);
-    const bool gapped = gaps_it != state.gaps.end() && gaps_it->second.contains(t);
+    const bool got = st != nullptr && st->delivered.contains(t);
+    const bool gapped = st != nullptr && st->gaps.contains(t);
     if (!got && !gapped) {
       std::ostringstream os;
       os << "subscriber " << s << " missed matching event " << p << ':' << t
@@ -156,8 +162,8 @@ void DeliveryOracle::verify_stream(SubscriberId s, const SubState& state, Pubend
     }
   }
   // Deliveries in range must correspond to known published events.
-  if (delivered_it != state.delivered.end()) {
-    delivered_it->second.for_each_in(lo, hi, [&](Tick t) {
+  if (st != nullptr) {
+    st->delivered.for_each_in(lo, hi, [&](Tick t) {
       if (!events.contains(t)) {
         std::ostringstream os;
         os << "subscriber " << s << " received unknown event " << p << ':' << t;
@@ -188,7 +194,7 @@ std::vector<std::string> DeliveryOracle::verify(SubscriberId s) const {
   for (const auto& [p, events] : published_) {
     verify_stream(s, state, p, events, state.start_ct.of(p), horizon.of(p), violations);
     // Deliveries outside (start, horizon] must still be known events.
-    if (auto d = state.delivered.find(p); d != state.delivered.end()) {
+    if (const StreamState* st = find_stream(state, p); st != nullptr) {
       auto check_unknown = [&](Tick t) {
         if (!events.contains(t)) {
           std::ostringstream os;
@@ -196,8 +202,8 @@ std::vector<std::string> DeliveryOracle::verify(SubscriberId s) const {
           violations.push_back(os.str());
         }
       };
-      d->second.for_each_in(INT64_MIN, state.start_ct.of(p), check_unknown);
-      d->second.for_each_in(horizon.of(p), kTickInfinity, check_unknown);
+      st->delivered.for_each_in(INT64_MIN, state.start_ct.of(p), check_unknown);
+      st->delivered.for_each_in(horizon.of(p), kTickInfinity, check_unknown);
     }
   }
   return violations;
@@ -205,7 +211,7 @@ std::vector<std::string> DeliveryOracle::verify(SubscriberId s) const {
 
 std::vector<std::string> DeliveryOracle::verify_all() const {
   std::vector<std::string> all;
-  for (const auto& [s, state] : subs_) {
+  for (SubscriberId s : sub_order_) {
     auto v = verify(s);
     all.insert(all.end(), v.begin(), v.end());
   }
@@ -214,15 +220,16 @@ std::vector<std::string> DeliveryOracle::verify_all() const {
 
 std::vector<std::string> DeliveryOracle::verify_all_incremental() {
   std::vector<std::string> all;
-  for (auto& [s, state] : subs_) {
+  for (SubscriberId s : sub_order_) {
+    SubState& state = subs_.at(s);
     if (!state.saw_first_connect) continue;
     const core::CheckpointToken& horizon = state.client->checkpoint();
     for (const auto& [p, events] : published_) {
       const Tick hi = horizon.of(p);
-      const Tick lo = std::max(state.start_ct.of(p), state.verified_upto[p]);
+      const Tick lo = std::max(state.start_ct.of(p), stream(state, p).verified_upto);
       if (hi <= lo) continue;  // nothing new acknowledged on this stream
       verify_stream(s, state, p, events, lo, hi, all);
-      state.verified_upto[p] = hi;
+      stream(state, p).verified_upto = hi;
     }
   }
   return all;

@@ -17,6 +17,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -105,21 +106,33 @@ class DeliveryOracle final : public core::SubscriberObserver,
   [[nodiscard]] const LastViolation& last_violation() const { return last_violation_; }
 
  private:
+  /// One (subscriber, pubend) stream's history.
+  struct StreamState {
+    TickSet delivered;
+    IntervalSet gaps;
+    /// Highest live (non-catchup) delivery: the constream position. Gap
+    /// notifications must never open at or behind it.
+    std::optional<Tick> constream_floor;
+    /// Ticks at or below this are already checked by
+    /// verify_all_incremental(). Clamped on CT rewind, cleared on reset.
+    Tick verified_upto = kTickZero;
+  };
+
   struct SubState {
     const core::DurableSubscriber* client = nullptr;
     matching::PredicatePtr predicate;
-    int machine = 0;
+    RateMeter* machine_rate = nullptr;  // its client machine's meter
     bool saw_first_connect = false;
     core::CheckpointToken start_ct;  // captured at first successful connect
-    std::map<PubendId, TickSet> delivered;
-    std::map<PubendId, IntervalSet> gaps;
-    /// Highest live (non-catchup) delivery per pubend: the constream
-    /// position. Gap notifications must never open at or behind it.
-    std::map<PubendId, Tick> constream_floor;
-    /// Per pubend: ticks at or below this are already checked by
-    /// verify_all_incremental(). Clamped on CT rewind, cleared on reset.
-    std::map<PubendId, Tick> verified_upto;
+    /// Indexed by pubend id (ids are small integers); grown on first use.
+    std::vector<StreamState> streams;
   };
+
+  /// s's stream for p, created on first use.
+  static StreamState& stream(SubState& s, PubendId p);
+  /// s's stream for p, or nullptr when it has never been touched.
+  static const StreamState* find_stream(const SubState& s, PubendId p);
+  SubState& sub_state(SubscriberId s);
 
   /// Checks one (subscriber, pubend) stream over (lo, hi]: every matching
   /// published event delivered or gapped, every delivered tick published.
@@ -132,9 +145,11 @@ class DeliveryOracle final : public core::SubscriberObserver,
 
   sim::Simulator& sim_;
   std::map<PubendId, std::map<Tick, matching::EventDataPtr>> published_;
-  std::map<PubendId, std::unordered_map<Tick, SimTime>> publish_times_;
-  std::map<SubscriberId, SubState> subs_;
-  std::map<int, RateMeter> machine_rates_;
+  /// Publish call times, indexed by pubend id (grown on first use).
+  std::vector<std::unordered_map<Tick, SimTime>> publish_times_;
+  std::unordered_map<SubscriberId, SubState> subs_;
+  std::vector<SubscriberId> sub_order_;  // registered ids, ascending
+  std::map<int, RateMeter> machine_rates_;  // node-stable: SubState caches pointers
 
   Summary e2e_latency_;      // publish() call -> non-catchup client delivery
   Summary publish_latency_;  // publish() call -> PHB durable ack

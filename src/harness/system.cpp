@@ -21,8 +21,6 @@ void configure_tracer(core::NodeResources& node, const SystemConfig& config) {
 
 System::System(SystemConfig config)
     : config_(std::move(config)), net_(sim_), oracle_(sim_) {
-  // Log entries carry simulated time (the only meaningful clock here).
-  Logger::instance().set_clock([this] { return sim_.now(); });
   GRYPHON_CHECK(config_.num_pubends >= 1);
   GRYPHON_CHECK(config_.num_intermediates >= 0);
   GRYPHON_CHECK(config_.num_shbs >= 1);

@@ -21,6 +21,7 @@
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "util/latency.hpp"
+#include "util/logging.hpp"
 #include "util/trace_export.hpp"
 
 namespace gryphon::harness {
@@ -225,6 +226,10 @@ class System {
 
   SystemConfig config_;
   sim::Simulator sim_;
+  /// Stamps log entries with simulated time (the only meaningful clock
+  /// here). Declared after sim_, so it lets go of the clock before the
+  /// Simulator dies.
+  Logger::ScopedClock log_clock_{[this] { return sim_.now(); }};
   sim::LinkNetwork net_;
   /// Owned transport installed into net_ (nullptr in struct mode: the
   /// Network's no-transport path is already the struct pass-through).

@@ -47,6 +47,7 @@ core::Publisher::EventFactory make_event_factory(int groups,
 
 BrokerProcess::BrokerProcess(EventLoop& loop, ProcessOptions options)
     : loop_(loop),
+      log_clock_([&loop] { return loop.elapsed(); }),
       options_(std::move(options)),
       net_(options_.codec) {
   GRYPHON_CHECK_MSG(is_broker() || is_client(),

@@ -57,6 +57,7 @@
 #include "net/socket_network.hpp"
 #include "net/tcp.hpp"
 #include "storage/storage_backend.hpp"
+#include "util/logging.hpp"
 
 namespace gryphon::net {
 
@@ -159,6 +160,9 @@ class BrokerProcess {
   void after(SimDuration delay, void (BrokerProcess::*step)());
 
   EventLoop& loop_;
+  /// Stamps log entries with the loop's wall-clock time (seconds since the
+  /// loop started) while this process lives.
+  Logger::ScopedClock log_clock_;
   ProcessOptions options_;
   SocketNetwork net_;  // outlives the roles and connections declared below
   std::shared_ptr<int> alive_ = std::make_shared<int>(0);

@@ -85,9 +85,12 @@ class EventLoop final : public sim::Scheduler {
   [[nodiscard]] std::uint64_t polls() const { return polls_; }
   [[nodiscard]] std::uint64_t timers_fired() const { return timers_.executed_tasks(); }
 
- private:
-  /// Wall-clock microseconds since construction.
+  /// Wall-clock microseconds since construction, read from the clock now
+  /// (now() is the time the current iteration started). Safe from any
+  /// thread: it touches only the immutable start point.
   [[nodiscard]] SimTime elapsed() const;
+
+ private:
 
   /// Advances now_/timer time to the wall clock and fires due timers.
   void fire_due_timers();

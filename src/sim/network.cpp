@@ -91,26 +91,30 @@ void LinkNetwork::connect(EndpointId a, EndpointId b, LinkConfig config) {
   endpoint(a);
   endpoint(b);
   GRYPHON_CHECK_MSG(!are_connected(a, b), "duplicate link " << a << "<->" << b);
-  links_.emplace(link_key(a, b), Link{config, config, 0, false, 0});
-  links_.emplace(link_key(b, a), Link{config, config, 0, false, 0});
+  const auto add = [&](EndpointId from, EndpointId to) {
+    links_.push_back(Link{config, config, 0, false, 0});
+    if (from >= out_.size()) out_.resize(from + 1);
+    if (to >= out_[from].size()) out_[from].resize(to + 1, nullptr);
+    out_[from][to] = &links_.back();
+  };
+  add(a, b);
+  add(b, a);
 }
 
 bool LinkNetwork::are_connected(EndpointId a, EndpointId b) const {
-  return links_.contains(link_key(a, b));
+  return find_link(a, b) != nullptr;
 }
 
 LinkNetwork::Link& LinkNetwork::link(EndpointId a, EndpointId b) {
-  auto it = links_.find(link_key(a, b));
-  GRYPHON_CHECK_MSG(it != links_.end(),
-                    "no link " << name_of(a) << " -> " << name_of(b));
-  return it->second;
+  Link* l = find_link(a, b);
+  GRYPHON_CHECK_MSG(l != nullptr, "no link " << name_of(a) << " -> " << name_of(b));
+  return *l;
 }
 
 const LinkNetwork::Link& LinkNetwork::link(EndpointId a, EndpointId b) const {
-  auto it = links_.find(link_key(a, b));
-  GRYPHON_CHECK_MSG(it != links_.end(),
-                    "no link " << name_of(a) << " -> " << name_of(b));
-  return it->second;
+  const Link* l = find_link(a, b);
+  GRYPHON_CHECK_MSG(l != nullptr, "no link " << name_of(a) << " -> " << name_of(b));
+  return *l;
 }
 
 namespace {
@@ -144,8 +148,8 @@ bool LinkNetwork::send(EndpointId from, EndpointId to, MessagePtr msg) {
 
   const std::uint64_t send_epoch = endpoint(to).epoch;
   const std::uint64_t link_epoch = l.epoch;
-  // Capture the link by pointer: links_ is node-based and links are never
-  // erased, so the pointer stays valid and delivery skips the hash lookup.
+  // Capture the link by pointer: links_ keeps addresses stable and links
+  // are never erased, so delivery skips the lookup.
   Link* lp = &l;
   sim_.schedule_at(arrival, [this, lp, from, to, send_epoch, link_epoch,
                              msg = std::move(msg)]() mutable {

@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/message.hpp"
@@ -220,10 +220,11 @@ class LinkNetwork final : public Network {
     std::uint64_t corrupt_drawn = 0;  // mangles performed (mixer input)
   };
 
-  static std::uint64_t link_key(EndpointId a, EndpointId b) {
-    return (static_cast<std::uint64_t>(a) << 32) | b;
+  /// The a->b link, or nullptr when a and b are not connected.
+  [[nodiscard]] Link* find_link(EndpointId a, EndpointId b) const {
+    if (a >= out_.size() || b >= out_[a].size()) return nullptr;
+    return out_[a][b];
   }
-
   Link& link(EndpointId a, EndpointId b);
   [[nodiscard]] const Link& link(EndpointId a, EndpointId b) const;
 
@@ -232,7 +233,14 @@ class LinkNetwork final : public Network {
   [[nodiscard]] MessagePtr mangle(Link& l, const MessagePtr& msg);
 
   Scheduler& sim_;
-  std::unordered_map<std::uint64_t, Link> links_;
+  /// Every link ever connected. A deque keeps each Link at a stable address
+  /// (send() captures Link* for the delivery) and links are never erased.
+  std::deque<Link> links_;
+  /// Out-link table: out_[a][b] is the a->b link, or nullptr. Each row is
+  /// sized to its endpoint's largest peer id, so a send finds its link with
+  /// two indexed loads. Brokers register before their clients, so a
+  /// client's row stays as short as the broker ids it links to.
+  std::vector<std::vector<Link*>> out_;
   std::uint64_t refused_sends_ = 0;
   std::uint64_t corrupted_frames_ = 0;
 };

@@ -124,6 +124,8 @@ class BufReader {
   std::span<const std::byte> get_bytes(std::size_t n) { return take(n); }
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
+  /// The unread bytes, without consuming them.
+  [[nodiscard]] std::span<const std::byte> rest() const { return data_.subspan(pos_); }
   [[nodiscard]] bool done() const { return remaining() == 0; }
 
  private:

@@ -36,9 +36,17 @@ void Logger::set_sink(Sink sink) {
   };
 }
 
-void Logger::set_clock(Clock clock) {
-  std::lock_guard<std::mutex> lock(mu_);
-  clock_ = std::move(clock);
+Logger::ScopedClock::ScopedClock(Clock clock) {
+  Logger& logger = instance();
+  std::lock_guard<std::mutex> lock(logger.mu_);
+  logger.clock_ = std::move(clock);
+  generation_ = ++logger.clock_generation_;
+}
+
+Logger::ScopedClock::~ScopedClock() {
+  Logger& logger = instance();
+  std::lock_guard<std::mutex> lock(logger.mu_);
+  if (logger.clock_generation_ == generation_) logger.clock_ = nullptr;
 }
 
 void Logger::log(LogLevel level, const std::string& component,

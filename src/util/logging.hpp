@@ -4,11 +4,14 @@
 // application, recovery milestones) are logged through a process-wide
 // Logger. Off by default so the simulator's hot loop pays one branch per
 // suppressed call site; experiments and debugging sessions raise the level
-// or install a capturing sink. A clock hook lets the harness stamp entries
-// with *simulated* time, which is the only time that means anything here.
+// or install a capturing sink. A clock hook stamps entries: the harness
+// binds it to *simulated* time, gryphon_broker to its event loop's wall
+// clock. Whoever installs a clock holds a ScopedClock, which puts the
+// default (every entry stamped 0) back when its owner dies, unless a later
+// clock has replaced it — so an entry never reads a destroyed clock.
 //
-// Thread-safe: the level is atomic, and emitting, set_sink and set_clock
-// are serialized, so threads sharing the process-wide Logger never
+// Thread-safe: the level is atomic, and emitting, set_sink and the clock
+// swaps are serialized, so threads sharing the process-wide Logger never
 // interleave entries or race a sink swap. A sink must not log itself.
 //
 //   Logger::instance().set_level(LogLevel::kInfo);
@@ -54,8 +57,18 @@ class Logger {
   /// Replaces the sink (nullptr restores the stderr default).
   void set_sink(Sink sink);
 
-  /// Installs the time source (the harness points this at its Simulator).
-  void set_clock(Clock clock);
+  /// Installs `clock` for its lifetime; the destructor restores the
+  /// default clock if this one is still installed.
+  class ScopedClock {
+   public:
+    explicit ScopedClock(Clock clock);
+    ~ScopedClock();
+    ScopedClock(const ScopedClock&) = delete;
+    ScopedClock& operator=(const ScopedClock&) = delete;
+
+   private:
+    std::uint64_t generation_;
+  };
 
   void log(LogLevel level, const std::string& component, const std::string& message);
 
@@ -67,9 +80,10 @@ class Logger {
   Logger();
 
   std::atomic<LogLevel> level_{LogLevel::kOff};
-  std::mutex mu_;  // guards sink_ and clock_, and orders entries
+  std::mutex mu_;  // guards sink_, clock_ and clock_generation_; orders entries
   Sink sink_;
   Clock clock_;
+  std::uint64_t clock_generation_ = 0;  // bumped by every ScopedClock install
   std::atomic<std::uint64_t> emitted_{0};
 };
 

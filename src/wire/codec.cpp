@@ -24,7 +24,7 @@ std::vector<std::byte> encode(const core::Msg& msg) {
 }
 
 DecodeResult decode(std::span<const std::byte> bytes,
-                    std::shared_ptr<const void> owner) {
+                    std::shared_ptr<const void> owner, core::EventDecodeCache* cache) {
   DecodeResult res;
   const FrameParse fp = parse_frame(bytes);
   if (fp.consumed == 0) {
@@ -36,7 +36,7 @@ DecodeResult decode(std::span<const std::byte> bytes,
     return res;
   }
   core::PayloadDecode p =
-      core::decode_payload(static_cast<core::MsgKind>(fp.kind), fp.payload, owner);
+      core::decode_payload(static_cast<core::MsgKind>(fp.kind), fp.payload, owner, cache);
   if (p.msg == nullptr) {
     res.reason = p.reason;
     return res;

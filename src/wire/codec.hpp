@@ -16,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "core/event_codec.hpp"
 #include "core/messages.hpp"
 #include "wire/frame.hpp"
 
@@ -49,7 +50,11 @@ struct DecodeResult {
 /// (the frame's arena — FrameMessage::wire_owner()). The decoded message
 /// then stays valid however long it outlives the frame. Callers whose
 /// buffer dies independently of any ownership handle must pass null.
+///
+/// `cache` (optional) lets a run of frames carrying the same event share one
+/// decoded EventData (core::EventDecodeCache).
 [[nodiscard]] DecodeResult decode(std::span<const std::byte> bytes,
-                                  std::shared_ptr<const void> owner = nullptr);
+                                  std::shared_ptr<const void> owner = nullptr,
+                                  core::EventDecodeCache* cache = nullptr);
 
 }  // namespace gryphon::wire

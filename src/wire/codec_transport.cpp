@@ -49,7 +49,7 @@ sim::MessagePtr CodecTransport::from_wire(sim::EndpointId, sim::EndpointId,
   std::shared_ptr<const void> owner = msg->wire_owner();
   GRYPHON_CHECK_MSG(owner != nullptr, "struct message delivered on a codec link");
   const std::span<const std::byte> bytes = msg->wire_bytes();
-  DecodeResult r = decode(bytes, owner);
+  DecodeResult r = decode(bytes, owner, &event_cache_);
   if (r.msg == nullptr) {
     ++frames_rejected_;
     return nullptr;  // corrupt frame: Network counts + drops

@@ -11,6 +11,8 @@
 // (core/message_codec.hpp), so the pre-check is exact by construction.
 // The decode path is zero-copy: event payload fields of the decoded message
 // are views into the frame, pinned by the arena's shared ownership handle.
+// It also remembers the last decoded event (core::EventDecodeCache): the
+// frames of one fan-out carry identical event bytes and share one EventData.
 //
 // Honesty check (GRYPHON_CHECK — a failure is a bug, not a tolerable
 // fault): canonical re-encode at receive, SAMPLED. Re-encoding the decoded
@@ -28,6 +30,7 @@
 
 #include <cstdint>
 
+#include "core/event_codec.hpp"
 #include "sim/transport.hpp"
 #include "util/buffer_pool.hpp"
 
@@ -82,6 +85,7 @@ class CodecTransport final : public sim::Transport {
   std::uint64_t arenas_opened_ = 0;
   std::uint64_t verifies_run_ = 0;
   std::uint64_t decode_draws_ = 0;
+  core::EventDecodeCache event_cache_;  // fan-out frames share one event
 };
 
 }  // namespace gryphon::wire

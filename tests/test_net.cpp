@@ -637,6 +637,28 @@ TEST_F(InProcessRoles, UndecodableFrameIsCountedInTheResult) {
   EXPECT_EQ(phb.network().frames_decoded_at(phb.node()->endpoint), 0u);
 }
 
+// A broker process stamps its log entries with the loop's wall clock, so
+// real-runtime logs read seconds since start instead of [0.000s].
+TEST_F(InProcessRoles, LogEntriesCarryTheLoopWallClock) {
+  net::ProcessOptions o;
+  o.name = "phb";
+  o.role = "phb";
+  ASSERT_TRUE(start(o).started());
+  loop_.run_for(msec(5));
+
+  std::vector<SimTime> stamps;
+  Logger::instance().set_sink(
+      [&](LogLevel, const std::string&, const std::string&, SimTime t) {
+        stamps.push_back(t);
+      });
+  Logger::instance().set_level(LogLevel::kInfo);
+  GRYPHON_LOG(kInfo, "test", "five milliseconds in");
+  Logger::instance().set_level(LogLevel::kOff);
+  Logger::instance().set_sink(nullptr);
+  ASSERT_EQ(stamps.size(), 1u);
+  EXPECT_GE(stamps[0], msec(5));
+}
+
 // PHB, SHB, publisher and subscriber on one loop, each with a SeamCounter
 // installed the way a benchmark installs its probe: every frame a role
 // writes crossed its to_wire() once, every frame it reads crossed its

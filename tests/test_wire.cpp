@@ -527,6 +527,40 @@ TEST(CodecTransport, ZeroCopyDecodedMessageOutlivesItsFrame) {
   EXPECT_LT(payload.data(), lo + frame_bytes.size());
 }
 
+// Fan-out: frames carrying the same event bytes decode to one shared
+// EventData, as struct mode shares one pointer; a frame whose event differs
+// anywhere — even in its last payload byte — decodes its own.
+TEST(CodecTransport, FanOutFramesShareOneDecodedEvent) {
+  wire::CodecTransport transport(always_verify());
+  const auto deliver = [&](std::uint32_t sub, const matching::EventDataPtr& event) {
+    sim::MessagePtr back = transport.from_wire(
+        1, 2,
+        transport.to_wire(1, 2, std::make_shared<core::EventDeliveryMsg>(
+                                    SubscriberId{sub}, PubendId{1}, 10, event, false)));
+    EXPECT_NE(back, nullptr);
+    return static_cast<const core::EventDeliveryMsg&>(static_cast<const core::Msg&>(*back))
+        .event;
+  };
+  const auto event = sample_event();
+  const auto first = deliver(1, event);
+  const auto second = deliver(2, event);
+  EXPECT_NE(first, event);  // decoded, not the sender's object
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(*second->attribute("sym"), matching::Value("IBM"));
+
+  const auto near_twin = std::make_shared<matching::EventData>(
+      std::map<std::string, matching::Value>{{"sym", matching::Value("IBM")},
+                                             {"price", matching::Value(101.5)},
+                                             {"g", matching::Value(3)},
+                                             {"urgent", matching::Value(true)}},
+      "payload-bytez", 250);
+  const auto third = deliver(3, near_twin);
+  EXPECT_NE(third, second);
+  EXPECT_EQ(third->payload(), "payload-bytez");
+  EXPECT_EQ(deliver(4, near_twin), third);
+  EXPECT_EQ(transport.frames_rejected(), 0u);
+}
+
 // Coalescing: consecutive sends append into one shared arena — same
 // ownership handle, disjoint views — and a mangled copy of one frame
 // rejects while its arena siblings still decode cleanly.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Chaos soak under ASan+UBSan: builds the sanitizer preset and runs N seeded
-# fault schedules plus the chaos, socket, durability and wire test suites
-# and a bench_sockets smoke of the real runtime, then runs the socket and
+# fault schedules plus the chaos, delivery-path, socket, durability and wire
+# test suites and a bench_sockets smoke of the real runtime, then runs the socket and
 # power-loss durability suites again under ThreadSanitizer (the real
 # runtime's syncer threads). Any invariant violation prints the offending
 # seed and its decoded fault timeline; rerun with
@@ -17,10 +17,17 @@ FIRST_SEED="${2:-1}"
 HORIZON_S="${3:-10}"
 
 cmake --preset asan-ubsan
-cmake --build --preset asan-ubsan -j "$(nproc)" --target test_chaos test_net test_durability test_wire gryphon_broker_cli bench_chaos_soak bench_wallclock bench_recovery_fuzz bench_churn_storm bench_scale_1m bench_sockets gryphon_report
+cmake --build --preset asan-ubsan -j "$(nproc)" --target test_chaos test_delivery_path test_net test_durability test_wire gryphon_broker_cli bench_chaos_soak bench_wallclock bench_recovery_fuzz bench_churn_storm bench_scale_1m bench_sockets gryphon_report
 
 echo "== chaos test suite (asan-ubsan) =="
 ./build-asan/tests/test_chaos
+
+echo "== delivery-path suite (asan-ubsan) =="
+# The flat per-delivery state: the SHB session table and per-pubend entries
+# (references into vectors, erased sessions under deferred sends), the link
+# table's captured Link pointers, the oracle's streams, and the Logger clock
+# a destroyed System must not leave behind.
+./build-asan/tests/test_delivery_path
 
 echo "== socket and wire suites (asan-ubsan) =="
 # Real sockets (reassembly, connection close paths, the forked broker smoke
