@@ -88,7 +88,7 @@ std::vector<std::byte> PersistentFilteringSubsystem::encode(
 }
 
 PersistentFilteringSubsystem::Record PersistentFilteringSubsystem::decode(
-    const std::vector<std::byte>& bytes) {
+    std::span<const std::byte> bytes) {
   BufReader r(bytes);
   Record rec;
   rec.range.from = r.get_i64();
@@ -156,8 +156,8 @@ void PersistentFilteringSubsystem::open(const std::vector<PubendId>& pubends) {
       storage::LogIndex from = std::max<storage::LogIndex>(
           shard.durable_scan_index + 1, volume.first_index(shard.stream));
       for (storage::LogIndex i = from; i <= durable; ++i) {
-        const auto* bytes = volume.read(shard.stream, i);
-        if (bytes == nullptr) continue;  // chopped
+        const auto bytes = volume.read(shard.stream, i);
+        if (!bytes) continue;  // chopped
         Record rec = decode(*bytes);
         GRYPHON_CHECK(rec.range.to > shard.last_timestamp);
         shard.last_timestamp = rec.range.to;
@@ -174,8 +174,8 @@ void PersistentFilteringSubsystem::open(const std::vector<PubendId>& pubends) {
       // `chopped` was already durable.
       while (volume.first_index(shard.stream) < volume.next_index(shard.stream)) {
         const storage::LogIndex first = volume.first_index(shard.stream);
-        const auto* bytes = volume.read(shard.stream, first);
-        if (bytes == nullptr || decode(*bytes).range.to > shard.chopped_upto) break;
+        const auto bytes = volume.read(shard.stream, first);
+        if (!bytes || decode(*bytes).range.to > shard.chopped_upto) break;
         volume.chop(shard.stream, first);
       }
       state.last_timestamp = std::max(state.last_timestamp, shard.last_timestamp);
@@ -350,8 +350,8 @@ void PersistentFilteringSubsystem::read(PubendId pubend, SubscriberId subscriber
   }
   std::vector<TickRange> descending;
   while (cur != storage::kNoIndex) {
-    const auto* bytes = res_.log_volume.read(shard.stream, cur);
-    if (bytes == nullptr) {
+    const auto bytes = res_.log_volume.read(shard.stream, cur);
+    if (!bytes) {
       truncated_by_chop = true;
       break;
     }
@@ -422,8 +422,8 @@ void PersistentFilteringSubsystem::chop_upto(PubendId pubend, Tick upto) {
     if (upto <= shard.chopped_upto) continue;
     while (volume.first_index(shard.stream) < volume.next_index(shard.stream)) {
       const storage::LogIndex first = volume.first_index(shard.stream);
-      const auto* bytes = volume.read(shard.stream, first);
-      GRYPHON_CHECK(bytes != nullptr);
+      const auto bytes = volume.read(shard.stream, first);
+      GRYPHON_CHECK(bytes.has_value());
       if (decode(*bytes).range.to > upto) break;
       volume.chop(shard.stream, first);
     }

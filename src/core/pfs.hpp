@@ -186,7 +186,7 @@ class PersistentFilteringSubsystem {
   /// `reuse` (optional) is an empty buffer whose capacity is recycled.
   [[nodiscard]] static std::vector<std::byte> encode(const Record& r,
                                                      std::vector<std::byte> reuse = {});
-  [[nodiscard]] static Record decode(const std::vector<std::byte>& bytes);
+  [[nodiscard]] static Record decode(std::span<const std::byte> bytes);
 
   void flush_batch(PerPubend& state);
   void write_record(PerPubend& state, Shard& shard, TickRange range,

@@ -51,8 +51,8 @@ void Pubend::recover() {
   storage::LogIndex rechop_upto = storage::kNoIndex;
   for (storage::LogIndex i = volume.first_index(log_stream_);
        i <= volume.durable_index(log_stream_); ++i) {
-    const auto* bytes = volume.read(log_stream_, i);
-    if (bytes == nullptr) continue;
+    const auto bytes = volume.read(log_stream_, i);
+    if (!bytes) continue;
     LoggedEvent e = decode_logged_event(*bytes);
     if (e.tick <= lost_upto_) {
       // Resurrected below the released boundary: the release-protocol chop

@@ -187,7 +187,7 @@ class Database::Rebuild final : public Wal::Delegate {
 
   void on_stream(const wire::StreamSnapshot&) override {}
 
-  void on_frame(const wire::FrameView& frame) override {
+  void on_frame(const wire::FrameView& frame, Wal::Location) override {
     BufReader r(frame.payload);
     switch (frame.kind) {
       case wire::FrameKind::kDbSnapshot: {

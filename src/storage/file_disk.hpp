@@ -58,7 +58,7 @@ class FileDisk final : public Disk, private FileBackend::Observer {
   /// `bytes` (the modeled size) is ignored: the real dirty bytes count.
   void write_and_sync(std::size_t bytes, std::function<void()> done) override;
 
-  /// The records are already in memory; `done` runs on the next loop turn.
+  /// Timing only (LogVolume::read already pread the bytes): `done` runs next loop turn.
   void read(std::size_t bytes, std::function<void()> done) override;
 
   /// Readable once the syncer completed a batch.

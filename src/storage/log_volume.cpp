@@ -22,19 +22,13 @@ LogStreamId LogVolume::open_stream(const std::string& name) {
   return id;
 }
 
-std::vector<std::byte> LogVolume::acquire_buffer() {
-  if (pool_.empty()) return {};
-  std::vector<std::byte> buf = std::move(pool_.back());
-  pool_.pop_back();
-  return buf;
-}
-
 LogIndex LogVolume::append(LogStreamId stream_id, std::vector<std::byte> payload) {
   Stream& s = stream(stream_id);
   const LogIndex index = s.base + s.records.size();
   const std::size_t bytes = payload.size() + kLogRecordHeaderBytes;
-  wal_.append(wire::FrameKind::kAppend, stream_id, index, payload);
-  s.records.push_back(std::move(payload));
+  s.records.push_back(wal_.append(wire::FrameKind::kAppend, stream_id, index, payload));
+  payload.clear();
+  spare_ = std::move(payload);
   ++append_seq_;
   // Header bytes are charged in one batch when the covering barrier starts
   // (group commit writes the headers of all batched records contiguously);
@@ -106,17 +100,17 @@ void LogVolume::on_barrier_complete(
   for (auto& cb : ready) cb();
 }
 
-const std::vector<std::byte>* LogVolume::read(LogStreamId stream_id,
-                                              LogIndex index) const {
+std::optional<std::span<const std::byte>> LogVolume::read(LogStreamId stream_id,
+                                                          LogIndex index) const {
   const Stream& s = stream(stream_id);
-  if (index < s.base || index >= s.base + s.records.size()) return nullptr;
-  return &s.records[index - s.base];
+  if (index < s.base || index >= s.base + s.records.size()) return std::nullopt;
+  const Wal::Location& at = s.records[index - s.base];
+  return backend_->read(at.segment, at.offset, at.length);
 }
 
 void LogVolume::drop_prefix(Stream& s, LogIndex upto) {
   while (s.base <= upto && !s.records.empty()) {
-    retained_bytes_ -= s.records.front().size() + kLogRecordHeaderBytes;
-    recycle(std::move(s.records.front()));
+    retained_bytes_ -= s.records.front().length + kLogRecordHeaderBytes;
     s.records.pop_front();
     ++s.base;
   }
@@ -170,7 +164,7 @@ class LogVolume::Rebuild final : public Wal::Delegate {
     if (s.records.empty()) s.base = std::max(s.base, snapshot.base);
   }
 
-  void on_frame(const wire::FrameView& frame) override {
+  void on_frame(const wire::FrameView& frame, Wal::Location payload) override {
     switch (frame.kind) {
       case wire::FrameKind::kOpenStream: {
         std::string name;
@@ -195,10 +189,8 @@ class LogVolume::Rebuild final : public Wal::Delegate {
         GRYPHON_CHECK_MSG(frame.index == s.base + s.records.size(),
                           "non-dense append replay: stream " << frame.stream
                               << " index " << frame.index);
-        std::vector<std::byte> buf = v_.acquire_buffer();
-        buf.assign(frame.payload.begin(), frame.payload.end());
-        v_.retained_bytes_ += buf.size() + kLogRecordHeaderBytes;
-        s.records.push_back(std::move(buf));
+        v_.retained_bytes_ += payload.length + kLogRecordHeaderBytes;
+        s.records.push_back(payload);
         break;
       }
       case wire::FrameKind::kChop:
@@ -225,15 +217,9 @@ void LogVolume::rebuild_from_wal(bool adopt) {
   pending_headers_ = 0;
   waiters_.clear();
 
-  // Forget the in-memory image entirely; what survives is whatever the Wal
-  // scan can re-derive from bytes (the whole point of the persistence
-  // engine: a crash test *is* a recovery-from-bytes test).
-  for (Stream& s : streams_) {
-    while (!s.records.empty()) {
-      recycle(std::move(s.records.back()));
-      s.records.pop_back();
-    }
-  }
+  // Forget the index entirely; what survives is whatever the Wal scan can
+  // re-derive from bytes (the whole point of the persistence engine: a
+  // crash test *is* a recovery-from-bytes test).
   streams_.clear();
   by_name_.clear();
   retained_bytes_ = 0;
@@ -273,11 +259,9 @@ void LogVolume::on_torn_sync() {
   pending_bytes_ = 0;
   pending_headers_ = 0;
   for (const Stream& s : streams_) {
-    if (s.records.empty()) continue;
     const LogIndex first_dirty = std::max(s.durable + 1, s.base);
-    const LogIndex last = s.base + s.records.size() - 1;
-    for (LogIndex i = first_dirty; i <= last; ++i) {
-      pending_bytes_ += s.records[i - s.base].size() + kLogRecordHeaderBytes;
+    for (LogIndex i = first_dirty; i < s.base + s.records.size(); ++i) {
+      pending_bytes_ += s.records[i - s.base].length + kLogRecordHeaderBytes;
     }
   }
   maybe_start_barrier();

@@ -13,23 +13,27 @@
 // is what makes "sync every 200 events" cheap in the PFS microbenchmark.
 //
 // Persistence is byte-accurate (DESIGN.md §4.4): every append/open/chop is
-// also written as a CRC32C frame into a segmented Wal, and crash() rebuilds
+// written as a CRC32C frame into a segmented Wal, and crash() rebuilds
 // every stream *from those bytes* — scan the segments, stop at the first
 // torn/corrupt frame, truncate the tail, replay. The SimDisk timing charge
 // stays the original logical model (payload + kLogRecordHeaderBytes per
 // record), so deterministic schedules are unchanged by the wire format.
 //
-// The LogVolume object itself survives a broker crash (it *is* the disk
-// contents plus the dirty page cache); crash() rolls volatile state back to
-// what the Wal's surviving bytes decode to — exactly what a restart finds.
+// The segment bytes are the only copy of a record: a stream keeps just where
+// each retained payload lives, and read() fetches it from the backend.
+// crash() rolls that index back to what the Wal's surviving bytes decode
+// to — exactly what a restart finds.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "storage/disk.hpp"
@@ -68,10 +72,10 @@ class LogVolume {
   /// Creates (or reopens after recovery) a named stream.
   LogStreamId open_stream(const std::string& name);
 
-  /// An empty payload buffer recycled from chopped records (capacity
+  /// An empty payload buffer: the one the last append() emptied (capacity
   /// retained). Encode into it and hand it back via append(): steady-state
   /// appends then never touch the allocator.
-  [[nodiscard]] std::vector<std::byte> acquire_buffer();
+  [[nodiscard]] std::vector<std::byte> acquire_buffer() { return std::exchange(spare_, {}); }
 
   /// Appends a record; returns its index (indices start at 1 and are dense
   /// per stream). Volatile until a subsequent sync() completes.
@@ -82,10 +86,11 @@ class LogVolume {
   /// outstanding requests share barriers (group commit).
   void sync(std::function<void()> on_durable);
 
-  /// Reads a record. Returns nullptr if the index was chopped, never
-  /// existed, or was lost to a crash before syncing.
-  [[nodiscard]] const std::vector<std::byte>* read(LogStreamId stream,
-                                                   LogIndex index) const;
+  /// Reads a record's payload from the segment bytes. Returns nullopt if
+  /// the index was chopped, never existed, or was lost to a crash before
+  /// syncing. The bytes are valid until the next call into this LogVolume.
+  [[nodiscard]] std::optional<std::span<const std::byte>> read(LogStreamId stream,
+                                                               LogIndex index) const;
 
   /// Discards all records of `stream` with index <= `upto`. Chopping beyond
   /// the end is clamped; chopping frees both volatile and durable space.
@@ -137,9 +142,9 @@ class LogVolume {
  private:
   struct Stream {
     std::string name;
-    LogIndex base = 1;             // index of records_.front()
+    LogIndex base = 1;             // index of records.front()
     LogIndex durable = kNoIndex;   // highest durable index
-    std::deque<std::vector<std::byte>> records;
+    std::deque<Wal::Location> records;  // where each retained payload lives
   };
 
   struct SyncWaiter {
@@ -166,18 +171,8 @@ class LogVolume {
                            std::vector<std::pair<LogStreamId, LogIndex>> covered);
   /// Ensures streams_ has a slot for `id` named `name` (recovery scan).
   Stream& ensure_stream(LogStreamId id, const std::string& name);
-  /// Drops records with index <= upto from the in-memory deque (no frame).
+  /// Drops records with index <= upto from the stream's index (no frame).
   void drop_prefix(Stream& s, LogIndex upto);
-
-  /// Returns a retired record's storage to the buffer pool (bounded).
-  void recycle(std::vector<std::byte>&& buf) {
-    if (pool_.size() < kMaxPooledBuffers) {
-      buf.clear();
-      pool_.push_back(std::move(buf));
-    }
-  }
-
-  static constexpr std::size_t kMaxPooledBuffers = 256;
 
   Disk& disk_;
   std::unique_ptr<StorageBackend> backend_;
@@ -185,7 +180,7 @@ class LogVolume {
   Instruments instruments_;
   std::vector<Stream> streams_;
   std::unordered_map<std::string, LogStreamId> by_name_;
-  std::vector<std::vector<std::byte>> pool_;
+  std::vector<std::byte> spare_;  // the payload buffer the last append emptied
 
   std::uint64_t generation_ = 0;     // bumped by crash(); stale barriers drop
   std::uint64_t append_seq_ = 0;     // counts appends, for sync watermarks

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 
@@ -44,16 +45,18 @@ std::vector<std::uint64_t> MemoryBackend::segments() const {
   return out;
 }
 
-std::vector<std::byte> MemoryBackend::load(std::uint64_t seq) const {
-  auto it = segs_.find(seq);
-  GRYPHON_CHECK_MSG(it != segs_.end(), "load of unknown segment " << seq);
-  return it->second;
-}
-
 std::size_t MemoryBackend::size(std::uint64_t seq) const {
   auto it = segs_.find(seq);
   GRYPHON_CHECK_MSG(it != segs_.end(), "size of unknown segment " << seq);
   return it->second.size();
+}
+
+std::span<const std::byte> MemoryBackend::read(std::uint64_t seq, std::uint64_t offset,
+                                               std::size_t length) {
+  auto it = segs_.find(seq);
+  GRYPHON_CHECK_MSG(it != segs_.end(), "read of unknown segment " << seq);
+  GRYPHON_CHECK(offset + length <= it->second.size());
+  return std::span<const std::byte>(it->second).subspan(offset, length);
 }
 
 // --- FileBackend ---------------------------------------------------------
@@ -73,16 +76,11 @@ FileBackend::FileBackend(std::string dir, std::string prefix, Observer* observer
   const std::string tail = ".wal";
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
     const std::string name = entry.path().filename().string();
-    if (name.size() <= head.size() + tail.size()) continue;
     if (name.compare(0, head.size(), head) != 0) continue;
-    if (name.compare(name.size() - tail.size(), tail.size(), tail) != 0) continue;
-    const std::string digits =
-        name.substr(head.size(), name.size() - head.size() - tail.size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    const std::uint64_t seq = std::strtoull(digits.c_str(), nullptr, 10);
+    // Only the names path(seq) writes: junk, overflow and "007" fail here.
+    std::uint64_t seq = 0;
+    std::from_chars(name.data() + head.size(), name.data() + name.size(), seq);
+    if (name != head + std::to_string(seq) + tail) continue;
     const int fd = ::open(path(seq).c_str(), O_RDWR | O_CLOEXEC);
     GRYPHON_CHECK_MSG(fd >= 0, "cannot open " << path(seq) << ": " << errno_text());
     auto seg = std::make_shared<Segment>(fd, path(seq));
@@ -156,22 +154,24 @@ std::vector<std::uint64_t> FileBackend::segments() const {
   return out;
 }
 
-std::vector<std::byte> FileBackend::load(std::uint64_t seq) const {
+std::size_t FileBackend::size(std::uint64_t seq) const {
+  return static_cast<std::size_t>(segment(seq)->size);
+}
+
+std::span<const std::byte> FileBackend::read(std::uint64_t seq, std::uint64_t offset,
+                                             std::size_t length) {
   const auto& seg = segment(seq);
-  std::vector<std::byte> bytes(seg->size);
+  GRYPHON_CHECK(offset + length <= seg->size);
+  scratch_.resize(length);
   std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::pread(seg->fd, bytes.data() + done, bytes.size() - done,
-                              static_cast<off_t>(done));
+  while (done < length) {
+    const ssize_t n = ::pread(seg->fd, scratch_.data() + done, length - done,
+                              static_cast<off_t>(offset + done));
     if (n < 0 && errno == EINTR) continue;
     GRYPHON_CHECK_MSG(n > 0, "short read from " << seg->path);
     done += static_cast<std::size_t>(n);
   }
-  return bytes;
-}
-
-std::size_t FileBackend::size(std::uint64_t seq) const {
-  return static_cast<std::size_t>(segment(seq)->size);
+  return scratch_;
 }
 
 std::unique_ptr<StorageBackend> make_backend(const StorageOptions& options,

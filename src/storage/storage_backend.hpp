@@ -1,16 +1,17 @@
 // StorageBackend — where WAL segment bytes actually live.
 //
 // The node's Disk decides *when* bytes are durable (barriers); a
-// StorageBackend is the *contents* model: an ordered set of append-only
-// segments the recovery scanner reads back after a crash.
+// StorageBackend holds the bytes: ordered append-only segments, the only
+// copy of every logged record, read whole by the recovery scan and record
+// by record by LogVolume (DESIGN.md §4.4).
 //
 //  * MemoryBackend (default): segments are std::vector<std::byte> — tier-1
 //    tests stay hermetic and deterministic, no filesystem involved.
 //  * FileBackend (behind StorageOptions::file_dir, and always under the
 //    real runtime's FileDisk): segments are real "<prefix>-<seq>.wal" files
-//    held open for the backend's lifetime and written with pwrite, so a
-//    recovery scan genuinely round-trips through the OS. Used by
-//    bench_recovery_fuzz --wal-dir and by gryphon_broker.
+//    held open for the backend's lifetime, written with pwrite and read
+//    with pread, so every byte genuinely round-trips through the OS. Used
+//    by bench_recovery_fuzz --wal-dir and by gryphon_broker.
 #pragma once
 
 #include <atomic>
@@ -47,8 +48,12 @@ class StorageBackend {
 
   /// Segment sequence numbers in ascending order (the recovery scan order).
   [[nodiscard]] virtual std::vector<std::uint64_t> segments() const = 0;
-  [[nodiscard]] virtual std::vector<std::byte> load(std::uint64_t seq) const = 0;
   [[nodiscard]] virtual std::size_t size(std::uint64_t seq) const = 0;
+  /// `length` bytes at `offset` of segment `seq`. The view is valid until
+  /// the next call into this backend.
+  [[nodiscard]] virtual std::span<const std::byte> read(std::uint64_t seq,
+                                                        std::uint64_t offset,
+                                                        std::size_t length) = 0;
 };
 
 class MemoryBackend final : public StorageBackend {
@@ -58,8 +63,10 @@ class MemoryBackend final : public StorageBackend {
   void truncate(std::uint64_t seq, std::size_t new_size) override;
   void drop_segment(std::uint64_t seq) override;
   [[nodiscard]] std::vector<std::uint64_t> segments() const override;
-  [[nodiscard]] std::vector<std::byte> load(std::uint64_t seq) const override;
   [[nodiscard]] std::size_t size(std::uint64_t seq) const override;
+  /// A view into the segment's vector: no copy.
+  [[nodiscard]] std::span<const std::byte> read(std::uint64_t seq, std::uint64_t offset,
+                                                std::size_t length) override;
 
  private:
   std::map<std::uint64_t, std::vector<std::byte>> segs_;
@@ -110,8 +117,10 @@ class FileBackend final : public StorageBackend {
   void truncate(std::uint64_t seq, std::size_t new_size) override;
   void drop_segment(std::uint64_t seq) override;
   [[nodiscard]] std::vector<std::uint64_t> segments() const override;
-  [[nodiscard]] std::vector<std::byte> load(std::uint64_t seq) const override;
   [[nodiscard]] std::size_t size(std::uint64_t seq) const override;
+  /// A synchronous pread into a scratch buffer on the calling thread.
+  [[nodiscard]] std::span<const std::byte> read(std::uint64_t seq, std::uint64_t offset,
+                                                std::size_t length) override;
 
  private:
   [[nodiscard]] std::string path(std::uint64_t seq) const;
@@ -121,6 +130,7 @@ class FileBackend final : public StorageBackend {
   std::string prefix_;
   Observer* observer_;
   std::map<std::uint64_t, std::shared_ptr<Segment>> segs_;
+  std::vector<std::byte> scratch_;  // holds the bytes of the last read()
 };
 
 /// Builds the backend `options` asks for; `prefix` namespaces one WAL's

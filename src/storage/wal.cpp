@@ -83,11 +83,13 @@ void Wal::note_frame(SegmentMeta& seg, const wire::FrameView& frame) {
   }
 }
 
-std::uint64_t Wal::append(wire::FrameKind kind, LogStreamId stream, LogIndex index,
+Wal::Location Wal::append(wire::FrameKind kind, LogStreamId stream, LogIndex index,
                           std::span<const std::byte> payload) {
   GRYPHON_CHECK_MSG(!segments_.empty(), "replay() adopted segments before appending");
   maybe_roll();
   SegmentMeta& seg = segments_.back();
+  const Location at{seg.seq, seg.size + wire::kFrameHeaderBytes,
+                    static_cast<std::uint32_t>(payload.size())};
   frame_buf_.clear();
   wire::append_frame(frame_buf_, kind, stream, index, payload);
   backend_.append(seg.seq, frame_buf_);
@@ -96,7 +98,7 @@ std::uint64_t Wal::append(wire::FrameKind kind, LogStreamId stream, LogIndex ind
 
   wire::FrameView view{kind, stream, index, payload};
   note_frame(seg, view);
-  return tail_;
+  return at;
 }
 
 void Wal::mark_submitted(std::uint64_t offset) {
@@ -162,7 +164,7 @@ Wal::RecoveryStats Wal::scan_and_rebuild(Delegate& delegate) {
       ++stats.dropped_segments;
       continue;
     }
-    const std::vector<std::byte> bytes = backend_.load(seq);
+    const std::span<const std::byte> bytes = backend_.read(seq, 0, backend_.size(seq));
     const auto hp = wire::parse_segment_header(bytes);
     if (hp.consumed == 0) {
       corrupt = true;
@@ -183,9 +185,8 @@ Wal::RecoveryStats Wal::scan_and_rebuild(Delegate& delegate) {
     }
 
     std::size_t at = hp.consumed;
-    const std::span<const std::byte> all(bytes);
     while (at < bytes.size()) {
-      const auto fp = wire::parse_frame(all.subspan(at));
+      const auto fp = wire::parse_frame(bytes.subspan(at));
       if (fp.consumed == 0) {
         corrupt = true;
         last_corruption_ = Corruption{true, seq, at, fp.crc_expected, fp.crc_found,
@@ -195,7 +196,9 @@ Wal::RecoveryStats Wal::scan_and_rebuild(Delegate& delegate) {
         break;
       }
       note_frame(meta, fp.frame);
-      delegate.on_frame(fp.frame);
+      const Location payload{seq, at + wire::kFrameHeaderBytes,
+                             static_cast<std::uint32_t>(fp.frame.payload.size())};
+      delegate.on_frame(fp.frame, payload);
       ++stats.frames;
       at += fp.consumed;
     }

@@ -54,6 +54,13 @@ class Wal {
     Corruption corruption;  // valid iff truncated_bytes > 0
   };
 
+  /// Where a frame's payload lives in the backend (StorageBackend::read).
+  struct Location {
+    std::uint64_t segment = 0;
+    std::uint64_t offset = 0;
+    std::uint32_t length = 0;
+  };
+
   /// Receives the surviving log during a recovery scan, in byte order.
   class Delegate {
    public:
@@ -62,17 +69,17 @@ class Wal {
     /// several times per stream with monotonically growing base/next.
     virtual void on_stream(const wire::StreamSnapshot& snapshot) = 0;
     /// A validated frame; `frame.payload` is only valid during the call.
-    virtual void on_frame(const wire::FrameView& frame) = 0;
+    virtual void on_frame(const wire::FrameView& frame, Location payload) = 0;
   };
 
   Wal(StorageBackend& backend, std::uint32_t node_id, std::size_t segment_bytes);
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Appends one frame (rolling the segment first if full); returns the new
-  /// tail offset — capture it before issuing the covering disk barrier.
-  std::uint64_t append(wire::FrameKind kind, LogStreamId stream, LogIndex index,
-                       std::span<const std::byte> payload);
+  /// Appends one frame (rolling the segment first if full); returns where
+  /// its payload lives.
+  Location append(wire::FrameKind kind, LogStreamId stream, LogIndex index,
+                  std::span<const std::byte> payload);
 
   [[nodiscard]] std::uint64_t tail_offset() const { return tail_; }
   [[nodiscard]] std::uint64_t durable_offset() const { return durable_; }

@@ -18,7 +18,7 @@ std::vector<std::byte> payload(const std::string& s) {
   return out;
 }
 
-std::string as_string(const std::vector<std::byte>& bytes) {
+std::string as_string(std::span<const std::byte> bytes) {
   return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
@@ -185,7 +185,7 @@ TEST_F(VolumeFixture, ChopDiscardsPrefixOnly) {
   const auto s = volume.open_stream("a");
   for (int i = 0; i < 10; ++i) volume.append(s, payload(std::to_string(i)));
   volume.chop(s, 4);
-  EXPECT_EQ(volume.read(s, 4), nullptr);
+  EXPECT_EQ(volume.read(s, 4), std::nullopt);
   EXPECT_EQ(as_string(*volume.read(s, 5)), "4");
   EXPECT_EQ(volume.first_index(s), 5u);
   EXPECT_EQ(volume.next_index(s), 11u);
@@ -233,7 +233,7 @@ TEST_F(VolumeFixture, CrashRollsBackToDurablePrefix) {
   EXPECT_EQ(volume.durable_index(s), 1u);
   EXPECT_EQ(volume.next_index(s), 2u);
   EXPECT_EQ(as_string(*volume.read(s, 1)), "durable");
-  EXPECT_EQ(volume.read(s, 2), nullptr);
+  EXPECT_EQ(volume.read(s, 2), std::nullopt);
   // Indices continue densely after recovery.
   EXPECT_EQ(volume.append(s, payload("after")), 2u);
 }
@@ -278,7 +278,7 @@ TEST_F(VolumeFixture, TornSyncRacingChopReissuesOnlyLiveRecords) {
   EXPECT_EQ(volume.first_index(s), 8u);
   EXPECT_EQ(volume.next_index(s), 11u);
   EXPECT_EQ(volume.durable_index(s), 10u);
-  EXPECT_EQ(volume.read(s, 7), nullptr);
+  EXPECT_EQ(volume.read(s, 7), std::nullopt);
   EXPECT_EQ(as_string(*volume.read(s, 8)), "r8");
   EXPECT_EQ(as_string(*volume.read(s, 10)), "r10");
   EXPECT_EQ(volume.append(s, payload("r11")), 11u);

@@ -6,6 +6,8 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -176,7 +178,7 @@ struct Collector final : Wal::Delegate {
   void on_stream(const wire::StreamSnapshot& snapshot) override {
     streams.push_back(snapshot);
   }
-  void on_frame(const wire::FrameView& frame) override {
+  void on_frame(const wire::FrameView& frame, Wal::Location) override {
     frames.push_back(Frame{frame.kind, frame.stream, frame.index,
                            as_string(frame.payload)});
   }
@@ -186,7 +188,8 @@ TEST(Wal, CrashKeepsDurablePrefixDropsUnsubmittedTail) {
   MemoryBackend backend;
   Wal wal(backend, 1, 64 * 1024);
   wal.append(wire::FrameKind::kOpenStream, 0, 1, span_of("s"));
-  const std::uint64_t mark = wal.append(wire::FrameKind::kAppend, 0, 1, span_of("a"));
+  wal.append(wire::FrameKind::kAppend, 0, 1, span_of("a"));
+  const std::uint64_t mark = wal.tail_offset();
   wal.mark_submitted(mark);
   wal.mark_durable(mark);
   wal.append(wire::FrameKind::kAppend, 0, 2, span_of("never-submitted"));
@@ -208,10 +211,12 @@ TEST(Wal, MidFrameTearIsTruncatedAndCounted) {
   MemoryBackend backend;
   Wal wal(backend, 1, 64 * 1024);
   wal.append(wire::FrameKind::kOpenStream, 0, 1, span_of("s"));
-  const std::uint64_t durable = wal.append(wire::FrameKind::kAppend, 0, 1, span_of("aa"));
+  wal.append(wire::FrameKind::kAppend, 0, 1, span_of("aa"));
+  const std::uint64_t durable = wal.tail_offset();
   wal.mark_submitted(durable);
   wal.mark_durable(durable);
-  const std::uint64_t tail = wal.append(wire::FrameKind::kAppend, 0, 2, span_of("bb"));
+  wal.append(wire::FrameKind::kAppend, 0, 2, span_of("bb"));
+  const std::uint64_t tail = wal.tail_offset();
   wal.mark_submitted(tail);  // in flight, never acked
 
   // Entropy 10 < frame size (21+2): the crash preserves 10 bytes of the
@@ -242,7 +247,8 @@ TEST(Wal, RollsSegmentsAndGcDropsChoppedHeads) {
   wal.append(wire::FrameKind::kOpenStream, 0, 1, span_of("s"));
   const std::string payload(40, 'x');
   for (LogIndex i = 1; i <= 12; ++i) {
-    const auto mark = wal.append(wire::FrameKind::kAppend, 0, i, span_of(payload));
+    wal.append(wire::FrameKind::kAppend, 0, i, span_of(payload));
+    const auto mark = wal.tail_offset();
     wal.mark_submitted(mark);
     wal.mark_durable(mark);
   }
@@ -250,7 +256,8 @@ TEST(Wal, RollsSegmentsAndGcDropsChoppedHeads) {
 
   // Chop everything; every sealed head whose appends are all below the new
   // base is dead, and later headers carry the registry snapshot.
-  const auto mark = wal.append(wire::FrameKind::kChop, 0, 12, {});
+  wal.append(wire::FrameKind::kChop, 0, 12, {});
+  const auto mark = wal.tail_offset();
   wal.mark_submitted(mark);
   wal.mark_durable(mark);
   const auto before = wal.segment_count();
@@ -361,7 +368,7 @@ TEST(LogVolumeBytes, TornTailCrashRecoversPrefixAndCountsTruncation) {
   EXPECT_EQ(volume.next_index(s), 4u);  // records 4..8 lost to the tear
   EXPECT_EQ(volume.durable_index(s), 3u);
   for (LogIndex i = 1; i <= 3; ++i) {
-    ASSERT_NE(volume.read(s, i), nullptr);
+    ASSERT_NE(volume.read(s, i), std::nullopt);
     EXPECT_EQ(as_string(*volume.read(s, i)), "d" + std::to_string(i));
   }
   EXPECT_EQ(volume.wal().truncated_bytes_total(), 10u);
@@ -400,11 +407,43 @@ TEST(LogVolumeBytes, EntropySweepAlwaysRecoversDensePrefix) {
     ASSERT_GE(next, 5u) << "durable records lost at entropy " << entropy;
     ASSERT_LE(next, 10u);
     for (LogIndex i = 1; i < next; ++i) {
-      ASSERT_NE(volume.read(s, i), nullptr) << "gap at " << i;
+      ASSERT_NE(volume.read(s, i), std::nullopt) << "gap at " << i;
       EXPECT_EQ(as_string(*volume.read(s, i)), "x" + std::to_string(i));
     }
     EXPECT_EQ(volume.durable_index(s), next - 1);
   }
+}
+
+TEST(LogVolumeBytes, ReadsComeFromTheSegmentBytes) {
+  // The segment file is the only copy of a record: rewrite one frame in
+  // place (same length, fresh CRC) and read() returns the new payload.
+  const std::string dir = "test_wal_files.reads";
+  std::filesystem::remove_all(dir);
+  StorageOptions options;
+  options.file_dir = dir;
+  sim::Simulator sim;
+  SimDisk disk(sim, "node.disk");
+  LogVolume volume(disk, options);
+  const LogStreamId s = volume.open_stream("s");
+  for (int i = 1; i <= 3; ++i) volume.append(s, bytes_of("old" + std::to_string(i)));
+
+  const std::string path = std::filesystem::directory_iterator(dir)->path().string();
+  std::string file;
+  {
+    std::ifstream in(path, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::size_t payload_at = file.find("old2");
+  ASSERT_NE(payload_at, std::string::npos);
+  std::vector<std::byte> frame;
+  wire::append_frame(frame, wire::FrameKind::kAppend, s, 2, span_of("new2"));
+  file.replace(payload_at - wire::kFrameHeaderBytes, frame.size(), as_string(frame));
+  std::ofstream(path, std::ios::binary) << file;
+
+  EXPECT_EQ(as_string(*volume.read(s, 2)), "new2");
+  EXPECT_EQ(as_string(*volume.read(s, 1)), "old1");
+  EXPECT_EQ(as_string(*volume.read(s, 3)), "old3");
+  std::filesystem::remove_all(dir);
 }
 
 // -------------------------------------------------- Database from bytes
@@ -493,8 +532,28 @@ TEST(FileBackendTest, SegmentsRoundTripAcrossInstances) {
     ASSERT_EQ(segs.size(), 1u);
     EXPECT_EQ(segs[0], 7u);
     EXPECT_EQ(fb.size(7), 4u);
-    EXPECT_EQ(as_string(fb.load(7)), "0123");
+    EXPECT_EQ(as_string(fb.read(7, 0, 4)), "0123");
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileBackendTest, IgnoresNonCanonicalSegmentNames) {
+  // A stray or copied file must not stop a broker from adopting its WAL
+  // directory: only names the backend itself writes are segments.
+  const std::string dir = "test_wal_files.names";
+  std::filesystem::remove_all(dir);
+  {
+    FileBackend fb(dir, "t");
+    fb.create_segment(3);
+    fb.append(3, bytes_of("three"));
+  }
+  for (const char* name : {"t-007.wal", "t-99999999999999999999999.wal", "t-+7.wal",
+                           "t-7x.wal", "t-.wal"}) {
+    std::ofstream(dir + "/" + name) << "junk";
+  }
+  FileBackend fb(dir, "t");
+  EXPECT_EQ(fb.segments(), std::vector<std::uint64_t>{3});
+  EXPECT_EQ(fb.size(3), 5u);
   std::filesystem::remove_all(dir);
 }
 
@@ -505,7 +564,8 @@ TEST(FileBackendTest, WalAdoptsPreexistingFilesViaReplay) {
     FileBackend fb(dir, "w");
     Wal wal(fb, 42, 64 * 1024);
     wal.append(wire::FrameKind::kOpenStream, 0, 1, span_of("s"));
-    const auto mark = wal.append(wire::FrameKind::kAppend, 0, 1, span_of("persisted"));
+    wal.append(wire::FrameKind::kAppend, 0, 1, span_of("persisted"));
+    const auto mark = wal.tail_offset();
     wal.mark_submitted(mark);
     wal.mark_durable(mark);
   }
@@ -571,7 +631,7 @@ TEST(FileBackendTest, ReadoptionAfterGcOfTheAdoptedSegments) {
     const LogStreamId s = volume.open_stream("s");
     EXPECT_EQ(volume.first_index(s), kept);
     EXPECT_EQ(volume.next_index(s), kept + 1);
-    ASSERT_NE(volume.read(s, kept), nullptr);
+    ASSERT_NE(volume.read(s, kept), std::nullopt);
   }
   std::filesystem::remove_all(dir);
 }
