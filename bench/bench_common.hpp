@@ -6,7 +6,6 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <optional>
@@ -82,10 +81,8 @@ inline std::string fmt(double v, int precision = 1) {
 
 // --- wall-clock reporting (bench_wallclock / tools/run_bench.sh) ---------
 //
-// Minimal JSON emission for the substrate perf trajectory. The file format
-// is deliberately flat (one key per line) so the matching reader below can
-// stay a line scanner instead of a JSON parser: BENCH_substrate.json is our
-// own artifact, produced only by write_bench_json().
+// The bench artifacts (BENCH_*.json) are written with util/json's
+// JsonWriter and read back with parse_json().
 
 struct BenchMetric {
   std::string name;
@@ -152,83 +149,50 @@ inline std::vector<BenchMetric> latency_percentile_metrics(
 
 inline void write_bench_json(const std::string& path,
                              const std::vector<WorkloadReport>& reports) {
-  std::ofstream out(path);
-  GRYPHON_CHECK_MSG(out.good(), "cannot write " << path);
-  out << "{\n  \"schema\": \"gryphon-substrate-bench-v1\",\n  \"workloads\": [\n";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const auto& r = reports[i];
-    out << "    {\n      \"name\": \"" << r.name << "\",\n      \"variant\": \""
-        << r.variant << "\"";
-    for (const auto& m : r.metrics) {
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "%.6g", m.value);
-      out << ",\n      \"" << m.name << "\": " << buf;
-    }
-    if (!r.registry.empty()) {
-      out << ",\n      \"metrics\": {";
-      for (std::size_t j = 0; j < r.registry.size(); ++j) {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.6g", r.registry[j].value);
-        out << (j == 0 ? "\n" : ",\n") << "        \"" << r.registry[j].name
-            << "\": " << buf;
-      }
-      out << "\n      }";
-    }
-    if (!r.latency.empty()) {
-      out << ",\n      \"latency\": {";
-      for (std::size_t j = 0; j < r.latency.size(); ++j) {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.6g", r.latency[j].value);
-        out << (j == 0 ? "\n" : ",\n") << "        \"" << r.latency[j].name
-            << "\": " << buf;
-      }
-      out << "\n      }";
-    }
-    out << "\n    }" << (i + 1 < reports.size() ? "," : "") << "\n";
+  std::string doc;
+  JsonWriter w(doc);
+  w.begin_object().field("schema", "gryphon-substrate-bench-v1").key("workloads").begin_array();
+  const auto block = [&w](const char* name, const std::vector<BenchMetric>& metrics) {
+    if (metrics.empty()) return;
+    w.key(name).begin_object();
+    for (const auto& m : metrics) w.field(m.name, m.value);
+    w.end_object();
+  };
+  for (const auto& r : reports) {
+    w.begin_object().field("name", r.name).field("variant", r.variant);
+    for (const auto& m : r.metrics) w.field(m.name, m.value);
+    block("metrics", r.registry);
+    block("latency", r.latency);
+    w.end_object();
   }
-  out << "  ]\n}\n";
+  w.end_array().end_object();
+  doc += '\n';
+  GRYPHON_CHECK_MSG(write_file(path, doc), "cannot write " << path);
 }
 
-/// Reads one metric back out of a write_bench_json() file. Returns nullopt
-/// when the (workload, variant, metric) triple is absent.
-inline std::optional<double> read_bench_metric(const std::string& path,
-                                               const std::string& workload,
-                                               const std::string& variant,
-                                               const std::string& metric) {
-  std::ifstream in(path);
-  if (!in.good()) return std::nullopt;
-  auto quoted_value = [](const std::string& line) -> std::string {
-    const auto colon = line.find(':');
-    if (colon == std::string::npos) return {};
-    const auto open = line.find('"', colon);
-    if (open == std::string::npos) return {};
-    const auto close = line.find('"', open + 1);
-    if (close == std::string::npos) return {};
-    return line.substr(open + 1, close - open - 1);
-  };
-  std::string line;
-  std::string cur_name;
-  std::string cur_variant;
-  while (std::getline(in, line)) {
-    // A bare "{" opens a new workload object. Keyed opens (e.g. the nested
-    // "metrics": { block) stay inside the current workload.
-    if (line.find('{') != std::string::npos &&
-        line.find('"') == std::string::npos) {
-      cur_name.clear();
-      cur_variant.clear();
-      continue;
-    }
-    if (line.find("\"name\"") != std::string::npos) cur_name = quoted_value(line);
-    if (line.find("\"variant\"") != std::string::npos) cur_variant = quoted_value(line);
-    const std::string key = '"' + metric + '"';
-    const auto pos = line.find(key);
-    if (pos == std::string::npos) continue;
-    if (cur_name != workload || cur_variant != variant) continue;
-    const auto colon = line.find(':', pos);
-    if (colon == std::string::npos) continue;
-    return std::strtod(line.c_str() + colon + 1, nullptr);
+/// A committed bench artifact, parsed; nullopt, with the reason on stderr,
+/// if it cannot be read or is not JSON.
+inline std::optional<JsonValue> read_bench_json(const std::string& path) {
+  std::string text;
+  std::string error = "cannot read it";
+  std::optional<JsonValue> doc;
+  if (read_file(path, text)) doc = parse_json(text, &error);
+  if (!doc) std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
+  return doc;
+}
+
+/// The workload object named (`workload`, `variant`) in a parsed
+/// write_bench_json() document, or null.
+inline const JsonValue* find_bench_workload(const JsonValue& doc, const std::string& workload,
+                                            const std::string& variant) {
+  const JsonValue* workloads = doc.find("workloads");
+  if (workloads == nullptr) return nullptr;
+  for (const JsonValue& w : workloads->array) {
+    const std::string* name = w.string_at("name");
+    const std::string* var = w.string_at("variant");
+    if (name != nullptr && *name == workload && var != nullptr && *var == variant) return &w;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 /// Prints a (time, value) series as aligned columns.

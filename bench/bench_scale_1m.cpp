@@ -400,7 +400,8 @@ ParityRun run_parity(std::size_t pfs_shards, int subscribers, SimDuration window
   }
   mix64(h, r.delivered);
   std::string metrics_json;
-  system.append_metrics_json(metrics_json);
+  JsonWriter w(metrics_json);
+  system.append_metrics_json(w);
   for (char c : metrics_json) mix64(h, static_cast<unsigned char>(c));
   r.digest = h;
 

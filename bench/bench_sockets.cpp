@@ -34,11 +34,10 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -259,15 +258,6 @@ double percentile(std::vector<double> v, double pct) {
   return v[rank];
 }
 
-/// Value of a flat `"key": number` line in a file we wrote ourselves.
-bool read_number(const std::string& text, const std::string& key, double& out) {
-  const std::string needle = "\"" + key + "\": ";
-  const auto at = text.find(needle);
-  if (at == std::string::npos) return false;
-  out = std::strtod(text.c_str() + at + needle.size(), nullptr);
-  return true;
-}
-
 int run(std::uint64_t events, double rate_eps, int reps, const std::string& out,
         const std::string& check) {
   std::printf("bench_sockets: real runtime, loopback TCP, %llu events x %d reps at %.0f ev/s\n",
@@ -298,67 +288,76 @@ int run(std::uint64_t events, double rate_eps, int reps, const std::string& out,
   std::printf("%.0f fsyncs/s, %.0f bytes/fsync; cpu/event: loop %.1f us, syncers %.1f us\n",
               fsyncs_per_s, bytes_per_fsync, loop_us, syncer_us);
 
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"schema\": \"gryphon-sockets-bench-v2\",\n"
-       << "  \"workloads\": [\n"
-       << "    {\n"
-       << "      \"name\": \"paced_real\",\n"
-       << "      \"topology\": \"phb<-shb brokers + pub + sub on one event loop, "
-          "loopback TCP, FileDisk WALs with fdatasync group commit\",\n"
-       << "      \"rate_eps\": " << rate_eps << ",\n"
-       << "      \"events_per_rep\": " << events << ",\n"
-       << "      \"reps\": " << reps << ",\n"
-       << "      \"payload_bytes\": " << kPayloadBytes << ",\n"
-       << "      \"exactly_once\": " << (t.exactly_once() ? "true" : "false") << ",\n"
-       << "      \"delivered\": " << t.delivered << ",\n"
-       << "      \"duplicates\": " << t.duplicates << ",\n"
-       << "      \"missing\": " << t.missing << ",\n"
-       << "      \"gaps\": " << t.gaps << ",\n"
-       << "      \"rejects\": " << t.rejects << ",\n"
-       << "      \"e2e_samples\": " << t.latencies_ms.size() << ",\n"
-       << "      \"e2e_p50_ms\": " << p50 << ",\n"
-       << "      \"e2e_p99_ms\": " << p99 << ",\n"
-       << "      \"gate_e2e_p50_ms\": " << kGateP50Ms << ",\n"
-       << "      \"gate_e2e_p99_ms\": " << kGateP99Ms << ",\n"
-       << "      \"fsyncs_per_s\": " << fsyncs_per_s << ",\n"
-       << "      \"bytes_per_fsync\": " << bytes_per_fsync << ",\n"
-       << "      \"loop_cpu_us_per_event\": " << loop_us << ",\n"
-       << "      \"syncer_cpu_us_per_event\": " << syncer_us << ",\n"
-       << "      \"wall_s\": " << t.wall_s << "\n"
-       << "    }\n"
-       << "  ]\n"
-       << "}\n";
+  int rc = 0;
   if (!out.empty()) {
-    std::ofstream(out, std::ios::trunc) << json.str();
-    std::printf("wrote %s\n", out.c_str());
+    std::string json;
+    JsonWriter w(json);
+    w.begin_object()
+        .field("schema", "gryphon-sockets-bench-v2")
+        .key("workloads")
+        .begin_array()
+        .begin_object()
+        .field("name", "paced_real")
+        .field("topology",
+               "phb<-shb brokers + pub + sub on one event loop, loopback TCP, "
+               "FileDisk WALs with fdatasync group commit")
+        .field("rate_eps", rate_eps)
+        .field("events_per_rep", events)
+        .field("reps", reps)
+        .field("payload_bytes", kPayloadBytes)
+        .field("exactly_once", t.exactly_once())
+        .field("delivered", t.delivered)
+        .field("duplicates", t.duplicates)
+        .field("missing", t.missing)
+        .field("gaps", t.gaps)
+        .field("rejects", t.rejects)
+        .field("e2e_samples", t.latencies_ms.size())
+        .field("e2e_p50_ms", p50)
+        .field("e2e_p99_ms", p99)
+        .field("gate_e2e_p50_ms", kGateP50Ms)
+        .field("gate_e2e_p99_ms", kGateP99Ms)
+        .field("fsyncs_per_s", fsyncs_per_s)
+        .field("bytes_per_fsync", bytes_per_fsync)
+        .field("loop_cpu_us_per_event", loop_us)
+        .field("syncer_cpu_us_per_event", syncer_us)
+        .field("wall_s", t.wall_s)
+        .end_object()
+        .end_array()
+        .end_object();
+    json += '\n';
+    if (write_file(out, json)) {
+      std::printf("wrote %s\n", out.c_str());
+    } else {
+      std::fprintf(stderr, "FAIL: cannot write %s\n", out.c_str());
+      rc = 1;
+    }
   }
 
-  int rc = 0;
   if (!t.exactly_once()) {
     std::fprintf(stderr, "FAIL: the socket run broke exactly-once delivery\n");
     rc = 1;
   }
   if (!check.empty()) {
-    std::ifstream in(check);
-    const std::string committed((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-    double gate50 = 0;
-    double gate99 = 0;
-    if (committed.find("\"exactly_once\": true") == std::string::npos ||
-        !read_number(committed, "gate_e2e_p50_ms", gate50) ||
-        !read_number(committed, "gate_e2e_p99_ms", gate99)) {
+    const std::optional<JsonValue> doc = read_bench_json(check);
+    const JsonValue* workloads = doc ? doc->find("workloads") : nullptr;
+    const JsonValue committed = workloads != nullptr && !workloads->array.empty()
+                                    ? workloads->array.front()
+                                    : JsonValue{};
+    const JsonValue* once = committed.find("exactly_once");
+    const std::optional<double> gate50 = committed.number_at("gate_e2e_p50_ms");
+    const std::optional<double> gate99 = committed.number_at("gate_e2e_p99_ms");
+    if (once == nullptr || !once->boolean || !gate50 || !gate99) {
       std::fprintf(stderr, "FAIL: %s records no exactly-once run with p50 and p99 gates\n",
                    check.c_str());
       rc = 1;
-    } else if (p50 > gate50 || p99 > gate99) {
+    } else if (p50 > *gate50 || p99 > *gate99) {
       std::fprintf(stderr,
                    "FAIL: e2e p50 %.3f / p99 %.3f ms is over the %.3f / %.3f ms gates in %s\n",
-                   p50, p99, gate50, gate99, check.c_str());
+                   p50, p99, *gate50, *gate99, check.c_str());
       rc = 1;
     } else {
       std::printf("ok: exactly-once, e2e p50 %.3f ms <= %.3f ms, p99 %.3f ms <= %.3f ms\n",
-                  p50, gate50, p99, gate99);
+                  p50, *gate50, p99, *gate99);
     }
   }
   return rc;

@@ -39,6 +39,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <optional>
 
 #include "harness/chaos.hpp"
 
@@ -291,6 +292,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // The committed reference, read before any workload runs so a missing or
+  // malformed file fails at once.
+  std::optional<JsonValue> committed_doc;
+  if (!check_path.empty() && !(committed_doc = read_bench_json(check_path))) return 1;
+
   print_header("Substrate wall-clock harness (fastest of " + std::to_string(reps) +
                " reps per workload)");
   print_row({"workload", "sim_s", "wall_s", "tasks", "ev/wall-s", "deliv/wall-s",
@@ -389,8 +395,10 @@ int main(int argc, char** argv) {
       // Prefer an explicitly tagged post_pr baseline; fall back to the
       // recorded "run" variant --out writes, so a plain re-recorded file
       // still arms the check instead of silently skipping every workload.
-      auto committed = read_bench_metric(check_path, name, "post_pr", gated);
-      if (!committed) committed = read_bench_metric(check_path, name, "run", gated);
+      const JsonValue* ref = find_bench_workload(*committed_doc, name, "post_pr");
+      if (ref == nullptr) ref = find_bench_workload(*committed_doc, name, "run");
+      const std::optional<double> committed =
+          ref != nullptr ? ref->number_at(gated) : std::nullopt;
       if (!committed) {
         std::printf("  (no reference for %s in %s — skipping check)\n",
                     name.c_str(), check_path.c_str());

@@ -369,30 +369,18 @@ std::vector<core::NodeResources*> System::nodes() {
   return out;
 }
 
-void System::append_metrics_json(std::string& out, const std::string& indent,
-                                 bool pretty) {
-  out += pretty ? "{\n" : "{";
-  const std::string inner = pretty ? indent + "  " : "";
-  bool first = true;
+void System::append_metrics_json(JsonWriter& w) {
+  w.begin_object();
   for (core::NodeResources* node : nodes()) {
-    if (!first) out += pretty ? ",\n" : ",";
-    first = false;
-    out += inner;
-    out += '"';
-    out += node->name;
-    out += pretty ? "\": " : "\":";
-    node->metrics.append_json(out, inner, pretty);
+    w.key(node->name);
+    node->metrics.append_json(w);
   }
-  if (pretty) {
-    out += '\n';
-    out += indent;
-  }
-  out += '}';
+  w.end_object();
 }
 
 bool System::write_trace_json(const std::string& path) {
   if (trace_export_ == nullptr) return false;
-  return trace_export_->write(path);
+  return write_file(path, trace_export_->to_json());
 }
 
 void System::note_fault_span(SimTime from, SimTime to, const std::string& name) {
@@ -405,26 +393,22 @@ void System::note_fault_instant(SimTime at, const std::string& name) {
 
 std::string System::metrics_scrape_line() {
   std::string line;
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "{\"t\":%.6f,", to_seconds(sim_.now()));
-  line = buf;
-  line += "\"latency\":";
-  latency_.append_json(line, "", /*pretty=*/false);
-  line += ",\"nodes\":";
-  append_metrics_json(line, "", /*pretty=*/false);
-  line += "}\n";
+  JsonWriter w(line, JsonWriter::Style::kCompact);
+  w.begin_object().field("t", to_seconds(sim_.now())).key("latency");
+  latency_.append_json(w);
+  w.key("nodes");
+  append_metrics_json(w);
+  w.end_object();
+  line += '\n';
   return line;
 }
 
 bool System::write_metrics_json(const std::string& path) {
   std::string doc;
-  append_metrics_json(doc, "");
+  JsonWriter w(doc);
+  append_metrics_json(w);
   doc += '\n';
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fwrite(doc.data(), 1, doc.size(), f);
-  std::fclose(f);
-  return true;
+  return write_file(path, doc);
 }
 
 void System::dump_flight_recorder(std::FILE* out, const FlightRecorderFocus* focus) {

@@ -20,6 +20,7 @@
 #include "harness/oracle.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "util/json.hpp"
 #include "util/latency.hpp"
 #include "util/logging.hpp"
 #include "util/trace_export.hpp"
@@ -198,13 +199,11 @@ class System {
   void note_fault_span(SimTime from, SimTime to, const std::string& name);
   void note_fault_instant(SimTime at, const std::string& name);
 
-  /// Appends a JSON object `{ "node": {snapshot}, ... }` covering every
+  /// Writes a JSON object `{ "node": {snapshot}, ... }` covering every
   /// node's registry (probes refreshed; sorted names => deterministic).
-  /// pretty=false emits the compact one-line form (NDJSON scrapes).
-  void append_metrics_json(std::string& out, const std::string& indent = "",
-                           bool pretty = true);
-  /// Writes the per-node snapshots as one JSON document. Returns false if
-  /// the file could not be opened.
+  void append_metrics_json(JsonWriter& w);
+  /// Writes the per-node snapshots as one pretty JSON document. Returns
+  /// false if any byte did not reach the file.
   bool write_metrics_json(const std::string& path);
   /// One NDJSON scrape line: {"t":<sim seconds>,"latency":{...},
   /// "nodes":{...}} + newline — the periodic --metrics-interval record.

@@ -9,6 +9,7 @@
 #include "net/inline_executor.hpp"
 #include "storage/file_disk.hpp"
 #include "util/assert.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace gryphon::net {
@@ -417,19 +418,22 @@ void BrokerProcess::send_ready(Peer& peer) {
 }
 
 std::string BrokerProcess::result_json() const {
-  std::ostringstream out;
-  out << "{\"name\":\"" << options_.name << "\",\"role\":\"" << options_.role
-      << "\",\"started\":" << (started_ ? "true" : "false")
-      << ",\"adopted\":" << (adopted_ ? "true" : "false")
-      << ",\"done\":" << (done_ ? "true" : "false")
-      << ",\"published\":" << (publisher_ != nullptr ? publisher_->published() : 0)
-      << ",\"acked\":" << (publisher_ != nullptr ? publisher_->acked() : 0)
-      << ",\"received\":"
-      << (subscriber_ != nullptr ? subscriber_->events_received() : 0)
-      << ",\"gaps\":" << (subscriber_ != nullptr ? subscriber_->gaps_received() : 0)
-      << ",\"decode_rejects\":" << net_.decode_rejects()
-      << ",\"reassembly_rejects\":" << reassembly_rejects() << "}";
-  return out.str();
+  std::string out;
+  JsonWriter(out, JsonWriter::Style::kCompact)
+      .begin_object()
+      .field("name", options_.name)
+      .field("role", options_.role)
+      .field("started", started_)
+      .field("adopted", adopted_)
+      .field("done", done_)
+      .field("published", publisher_ != nullptr ? publisher_->published() : 0)
+      .field("acked", publisher_ != nullptr ? publisher_->acked() : 0)
+      .field("received", subscriber_ != nullptr ? subscriber_->events_received() : 0)
+      .field("gaps", subscriber_ != nullptr ? subscriber_->gaps_received() : 0)
+      .field("decode_rejects", net_.decode_rejects())
+      .field("reassembly_rejects", reassembly_rejects())
+      .end_object();
+  return out;
 }
 
 }  // namespace gryphon::net

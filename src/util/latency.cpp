@@ -1,9 +1,6 @@
 #include "util/latency.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-
-#include "util/metrics.hpp"
+#include "util/json.hpp"
 
 namespace gryphon {
 
@@ -155,87 +152,26 @@ void LatencyRecorder::on_trace(std::uint32_t /*node_id*/,
   }
 }
 
-void LatencyRecorder::append_json(std::string& out, const std::string& indent,
-                                  bool pretty) const {
-  const char* nl = pretty ? "\n" : "";
-  const std::string in1 = pretty ? indent + "  " : "";
-  const std::string in2 = pretty ? indent + "    " : "";
-  const char* sp = pretty ? " " : "";
-
-  out += "{";
-  out += nl;
-  out += in1;
-  out += "\"stages\":";
-  out += sp;
-  out += "{";
-  out += nl;
-  bool first = true;
+void LatencyRecorder::append_json(JsonWriter& w) const {
+  w.begin_object();
+  w.key("stages").begin_object();
   for (std::size_t i = 0; i < kNumLatencyStages; ++i) {
     const Histogram& h = stages_[i];
-    if (!first) {
-      out += ",";
-      out += nl;
-    }
-    first = false;
-    out += in2;
-    out += '"';
-    out += latency_stage_name(static_cast<LatencyStage>(i));
-    out += "\":";
-    out += sp;
-    out += "{\"count\":";
-    out += sp;
-    append_json_number(out, static_cast<double>(h.count()));
-    out += ",";
-    out += sp;
-    out += "\"p50\":";
-    out += sp;
-    append_json_number(out, h.percentile(50.0));
-    out += ",";
-    out += sp;
-    out += "\"p90\":";
-    out += sp;
-    append_json_number(out, h.percentile(90.0));
-    out += ",";
-    out += sp;
-    out += "\"p99\":";
-    out += sp;
-    append_json_number(out, h.percentile(99.0));
-    out += ",";
-    out += sp;
-    out += "\"p999\":";
-    out += sp;
-    append_json_number(out, h.percentile(99.9));
-    out += "}";
+    w.key(latency_stage_name(static_cast<LatencyStage>(i)))
+        .begin_object(/*inline_items=*/true)
+        .field("count", h.count())
+        .field("p50", h.percentile(50.0))
+        .field("p90", h.percentile(90.0))
+        .field("p99", h.percentile(99.0))
+        .field("p999", h.percentile(99.9))
+        .end_object();
   }
-  out += nl;
-  out += in1;
-  out += "},";
-  out += nl;
-  out += in1;
-  out += "\"orphan_transitions\":";
-  out += sp;
-  append_json_number(out, static_cast<double>(orphans_));
-  out += ",";
-  out += nl;
-  out += in1;
-  out += "\"dropped_keys\":";
-  out += sp;
-  append_json_number(out, static_cast<double>(dropped_));
-  out += ",";
-  out += nl;
-  out += in1;
-  out += "\"gap_terminated_keys\":";
-  out += sp;
-  append_json_number(out, static_cast<double>(gap_terminated_));
-  out += ",";
-  out += nl;
-  out += in1;
-  out += "\"open_keys\":";
-  out += sp;
-  append_json_number(out, static_cast<double>(open_.size()));
-  out += nl;
-  if (pretty) out += indent;
-  out += "}";
+  w.end_object();
+  w.field("orphan_transitions", orphans_)
+      .field("dropped_keys", dropped_)
+      .field("gap_terminated_keys", gap_terminated_)
+      .field("open_keys", open_.size());
+  w.end_object();
 }
 
 void LatencyRecorder::clear() {

@@ -48,6 +48,8 @@
 
 namespace gryphon {
 
+class JsonWriter;
+
 enum class LatencyStage : std::uint8_t {
   kPublishToPersist = 0,
   kPersistToMatch,
@@ -99,12 +101,10 @@ class LatencyRecorder final : public TraceSink {
   [[nodiscard]] std::size_t open_key_count() const { return open_.size(); }
   [[nodiscard]] std::size_t open_wait_count() const { return waits_.size(); }
 
-  /// Appends the recorder as a JSON object: a "stages" map of
+  /// Writes the recorder as a JSON object: a "stages" map of
   /// {count, p50, p90, p99, p999} per stage (milliseconds) plus the
-  /// bookkeeping counters. pretty=false emits the compact single-line form
-  /// the NDJSON scrape uses; both styles share this one serializer.
-  void append_json(std::string& out, const std::string& indent,
-                   bool pretty = true) const;
+  /// bookkeeping counters.
+  void append_json(JsonWriter& w) const;
 
   void clear();
 

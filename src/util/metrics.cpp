@@ -1,7 +1,8 @@
 #include "util/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "util/json.hpp"
 
 namespace gryphon {
 
@@ -76,75 +77,27 @@ void MetricsRegistry::for_each_gauge(
   for (const auto& [name, idx] : gauge_index_) f(name, gauges_[idx].get());
 }
 
-void append_json_number(std::string& out, double v) {
-  char buf[48];
-  // Integral values (the common case: counters mirrored into gauges) print
-  // without a fractional part so the JSON is stable and diffable.
-  if (v == static_cast<double>(static_cast<long long>(v)) && v > -1e15 && v < 1e15) {
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-  }
-  out += buf;
-}
-
-void MetricsRegistry::append_json(std::string& out, const std::string& indent,
-                                  bool pretty) {
+void MetricsRegistry::append_json(JsonWriter& w) {
   refresh_probes();
-  // pretty=true reproduces the historical --metrics-json layout byte for
-  // byte; pretty=false strips all whitespace for one-line NDJSON scrapes.
-  const std::string in2 = pretty ? indent + "  " : "";
-  const std::string in3 = pretty ? in2 + "  " : "";
-  const char* nl = pretty ? "\n" : "";
-  const char* sp = pretty ? " " : "";
-
-  out += "{";
-  out += nl;
-
-  out += in2 + "\"counters\":" + sp + "{";
-  bool first = true;
-  for (const auto& [name, idx] : counter_index_) {
-    out += first ? nl : (std::string(",") + nl);
-    first = false;
-    out += in3 + "\"" + name + "\":" + sp;
-    append_json_number(out, static_cast<double>(counters_[idx].get()));
-  }
-  out += first ? std::string("},") + nl : nl + in2 + "}," + nl;
-
-  out += in2 + "\"gauges\":" + sp + "{";
-  first = true;
-  for (const auto& [name, idx] : gauge_index_) {
-    out += first ? nl : (std::string(",") + nl);
-    first = false;
-    out += in3 + "\"" + name + "\":" + sp;
-    append_json_number(out, gauges_[idx].get());
-  }
-  out += first ? std::string("},") + nl : nl + in2 + "}," + nl;
-
-  out += in2 + "\"histograms\":" + sp + "{";
-  first = true;
+  w.begin_object();
+  w.key("counters").begin_object();
+  for (const auto& [name, idx] : counter_index_) w.field(name, counters_[idx].get());
+  w.end_object();
+  w.key("gauges").begin_object();
+  for (const auto& [name, idx] : gauge_index_) w.field(name, gauges_[idx].get());
+  w.end_object();
+  w.key("histograms").begin_object();
   for (const auto& [name, idx] : histogram_index_) {
-    out += first ? nl : (std::string(",") + nl);
-    first = false;
     const Histogram& h = histograms_[idx];
-    out += in3 + "\"" + name + "\":" + sp + "{\"count\":" + sp;
-    append_json_number(out, static_cast<double>(h.count()));
+    w.key(name).begin_object(/*inline_items=*/true).field("count", h.count());
     for (const auto& [label, p] :
          {std::pair<const char*, double>{"p50", 50.0}, {"p95", 95.0}, {"p99", 99.0}}) {
-      out += ",";
-      out += sp;
-      out += "\"";
-      out += label;
-      out += "\":";
-      out += sp;
-      append_json_number(out, h.count() > 0 ? h.percentile(p) : 0.0);
+      w.field(label, h.count() > 0 ? h.percentile(p) : 0.0);
     }
-    out += "}";
+    w.end_object();
   }
-  out += first ? std::string("}") + nl : nl + in2 + "}" + nl;
-
-  if (pretty) out += indent;
-  out += "}";
+  w.end_object();
+  w.end_object();
 }
 
 }  // namespace gryphon

@@ -37,10 +37,7 @@
 
 namespace gryphon {
 
-/// Canonical JSON number formatting shared by every metrics/latency
-/// serializer in the repo: integral values print without a fractional part,
-/// everything else as %.6g — stable, diffable, locale-free.
-void append_json_number(std::string& out, double v);
+class JsonWriter;
 
 class MetricsRegistry {
  public:
@@ -118,14 +115,11 @@ class MetricsRegistry {
   void for_each_counter(const std::function<void(const std::string&, std::uint64_t)>& f) const;
   void for_each_gauge(const std::function<void(const std::string&, double)>& f) const;
 
-  /// Appends this node's snapshot as a JSON object value (callers emit the
+  /// Writes this node's snapshot as a JSON object value (callers emit the
   /// surrounding key). Refreshes probes first. Deterministic (sorted names).
-  /// This is the one canonical snapshot serializer: the end-of-run
-  /// --metrics-json file uses the pretty form, the periodic NDJSON scrape
-  /// the compact (pretty=false, single-line) form — same sort order, same
-  /// number formatting, only whitespace differs.
-  void append_json(std::string& out, const std::string& indent,
-                   bool pretty = true);
+  /// The end-of-run --metrics-json file uses the writer's pretty style, the
+  /// periodic NDJSON scrape the compact one; only whitespace differs.
+  void append_json(JsonWriter& w);
 
  private:
   struct ProbeEntry {

@@ -1,10 +1,11 @@
 #include "util/trace_export.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <map>
 #include <utility>
+
+#include "util/json.hpp"
 
 namespace gryphon {
 
@@ -22,13 +23,6 @@ void TraceExporter::add_fault_instant(SimTime at, std::string name) {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-}
-
 struct Event {
   SimTime ts;
   std::uint64_t seq;  // insertion order: deterministic tiebreak at equal ts
@@ -41,75 +35,55 @@ std::string TraceExporter::to_json() const {
   constexpr int kFaultsPid = 1;
   constexpr int kTicksPid = 2;
   constexpr int kNodePidBase = 3;
-  char buf[256];
 
   std::vector<Event> events;
   events.reserve(faults_.size() + 3 * records_.size());
   std::uint64_t seq = 0;
+  // Each event is one compact object, finished in its slot before the next
+  // event is added, and placed after sorting.
+  const auto add_event = [&](SimTime ts, const char* ph, int pid) {
+    events.push_back({ts, seq++, {}});
+    JsonWriter w(events.back().line, JsonWriter::Style::kCompact);
+    w.begin_object().field("ph", ph).field("pid", pid).field("tid", 1).field("ts", ts);
+    return w;
+  };
 
   for (const Fault& f : faults_) {
-    std::string line;
+    JsonWriter w = add_event(f.from, f.instant ? "i" : "X", kFaultsPid);
     if (f.instant) {
-      std::snprintf(buf, sizeof buf,
-                    "{\"ph\":\"i\",\"pid\":%d,\"tid\":1,\"ts\":%" PRId64
-                    ",\"s\":\"p\",\"cat\":\"fault\",\"name\":\"",
-                    kFaultsPid, f.from);
+      w.field("s", "p");
     } else {
-      std::snprintf(buf, sizeof buf,
-                    "{\"ph\":\"X\",\"pid\":%d,\"tid\":1,\"ts\":%" PRId64
-                    ",\"dur\":%" PRId64 ",\"cat\":\"fault\",\"name\":\"",
-                    kFaultsPid, f.from, f.to - f.from);
+      w.field("dur", f.to - f.from);
     }
-    line = buf;
-    append_escaped(line, f.name);
-    line += "\"}";
-    events.push_back({f.from, seq++, std::move(line)});
+    w.field("cat", "fault").field("name", f.name).end_object();
   }
 
   // One async span per sampled (pubend, tick): opened by kPublish, closed by
   // the first ack / gap / release-to-L record covering the tick. Spans with
   // no closing record stay open (Perfetto draws them running off the edge).
   std::map<std::pair<std::int64_t, Tick>, bool> open_spans;
-  const auto span_id = [&](std::int64_t pubend, Tick tick) {
-    std::snprintf(buf, sizeof buf, "\"0x%llx\"",
+  const auto span_event = [&](const char* ph, SimTime ts, std::int64_t pubend,
+                              Tick tick) {
+    char id[24];
+    std::snprintf(id, sizeof id, "0x%llx",
                   static_cast<unsigned long long>(
                       (static_cast<std::uint64_t>(pubend) << 40) ^
                       static_cast<std::uint64_t>(tick)));
-    return std::string(buf);
-  };
-  const auto span_event = [&](const char* ph, SimTime ts, std::int64_t pubend,
-                              Tick tick) {
-    std::snprintf(buf, sizeof buf,
-                  "{\"ph\":\"%s\",\"pid\":%d,\"tid\":1,\"ts\":%" PRId64
-                  ",\"cat\":\"tick\",\"id\":%s,\"name\":\"pubend %" PRId64
-                  " tick %" PRId64 "\"}",
-                  ph, kTicksPid, ts, span_id(pubend, tick).c_str(), pubend,
-                  tick);
-    events.push_back({ts, seq++, std::string(buf)});
+    add_event(ts, ph, kTicksPid).field("cat", "tick").field("id", id)
+        .field("name", "pubend " + std::to_string(pubend) + " tick " + std::to_string(tick))
+        .end_object();
   };
 
   for (const Captured& c : records_) {
     const TraceRecord& r = c.rec;
 
     // Per-node milestone instant.
-    std::string line;
-    std::snprintf(buf, sizeof buf,
-                  "{\"ph\":\"i\",\"pid\":%d,\"tid\":1,\"ts\":%" PRId64
-                  ",\"s\":\"p\",\"cat\":\"milestone\",\"name\":\"%s\","
-                  "\"args\":{\"pubend\":%" PRId64 ",\"tick\":%" PRId64,
-                  kNodePidBase + static_cast<int>(c.node_id), r.at,
-                  trace_milestone_name(r.milestone), r.pubend, r.tick);
-    line = buf;
-    if (r.tick2 != r.tick) {
-      std::snprintf(buf, sizeof buf, ",\"tick2\":%" PRId64, r.tick2);
-      line += buf;
-    }
-    if (r.detail != 0) {
-      std::snprintf(buf, sizeof buf, ",\"sub\":%u", r.detail);
-      line += buf;
-    }
-    line += "}}";
-    events.push_back({r.at, seq++, std::move(line)});
+    JsonWriter w = add_event(r.at, "i", kNodePidBase + static_cast<int>(c.node_id));
+    w.field("s", "p").field("cat", "milestone").field("name", trace_milestone_name(r.milestone));
+    w.key("args").begin_object().field("pubend", r.pubend).field("tick", r.tick);
+    if (r.tick2 != r.tick) w.field("tick2", r.tick2);
+    if (r.detail != 0) w.field("sub", r.detail);
+    w.end_object().end_object();
 
     // Causal tick-span lane.
     if (r.milestone == TraceMilestone::kPublish) {
@@ -134,38 +108,23 @@ std::string TraceExporter::to_json() const {
                      return a.seq < b.seq;
                    });
 
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
-  const auto emit = [&](const std::string& line) {
-    if (!first) out += ",\n";
-    first = false;
-    out += line;
-  };
+  std::string out;
+  JsonWriter w(out, JsonWriter::Style::kCompact);
+  w.begin_object().field("displayTimeUnit", "ms").key("traceEvents").begin_array();
   // Metadata first: track names for the fixed lanes and each node.
-  emit("{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"faults\"}}");
-  emit("{\"ph\":\"M\",\"pid\":2,\"name\":\"process_name\",\"args\":{\"name\":\"ticks\"}}");
+  const auto process_name = [&](int pid, const std::string& name) {
+    w.line_break().begin_object().field("ph", "M").field("pid", pid).field("name", "process_name");
+    w.key("args").begin_object().field("name", name).end_object().end_object();
+  };
+  process_name(kFaultsPid, "faults");
+  process_name(kTicksPid, "ticks");
   for (const auto& [node_id, name] : node_names_) {
-    std::string line;
-    std::snprintf(buf, sizeof buf, "{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\",\"args\":{\"name\":\"",
-                  kNodePidBase + static_cast<int>(node_id));
-    line = buf;
-    append_escaped(line, name);
-    line += "\"}}";
-    emit(line);
+    process_name(kNodePidBase + static_cast<int>(node_id), name);
   }
-  for (const Event& e : events) emit(e.line);
-  out += "\n]}\n";
+  for (const Event& e : events) w.line_break().raw(e.line);
+  w.line_break().end_array().end_object();
+  out += '\n';
   return out;
-}
-
-bool TraceExporter::write(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::string json = to_json();
-  const std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  const bool ok = n == json.size() && std::fclose(f) == 0;
-  if (n != json.size()) std::fclose(f);
-  return ok;
 }
 
 }  // namespace gryphon

@@ -58,9 +58,6 @@ class TraceExporter final : public TraceSink {
   /// stream; one event per line so diffs and line-oriented checks work.
   [[nodiscard]] std::string to_json() const;
 
-  /// to_json() to a file; returns false on I/O failure.
-  bool write(const std::string& path) const;
-
   void clear() {
     records_.clear();
     faults_.clear();

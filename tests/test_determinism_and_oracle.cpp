@@ -174,7 +174,8 @@ TEST(Determinism, TraceExportAndLatencyHistogramsAreBitIdentical) {
       art.buckets.push_back(
           system.latency().stage(static_cast<LatencyStage>(i)).buckets());
     }
-    system.latency().append_json(art.latency_json, "");
+    JsonWriter w(art.latency_json);
+    system.latency().append_json(w);
     return art;
   };
   const auto a = run();

@@ -1,20 +1,51 @@
 // Unit tests for the observability layer: MetricsRegistry slots and probes,
 // deterministic trace sampling, the flight-recorder ring, the merged dump's
-// milestone checklist, the per-stage LatencyRecorder, and the Chrome
-// trace-event exporter.
+// milestone checklist, the per-stage LatencyRecorder, the Chrome
+// trace-event exporter, and the exact bytes every serializer writes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <string>
 
+#include "harness/system.hpp"
+#include "net/broker_process.hpp"
+#include "net/event_loop.hpp"
+#include "util/json.hpp"
 #include "util/latency.hpp"
+#include "util/logging.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 #include "util/trace_export.hpp"
 
 namespace gryphon {
 namespace {
+
+// Renders one serializer into a string in the pretty or compact style.
+JsonWriter::Style style(bool pretty) {
+  return pretty ? JsonWriter::Style::kPretty : JsonWriter::Style::kCompact;
+}
+
+std::string metrics_json(MetricsRegistry& reg, bool pretty) {
+  std::string out;
+  JsonWriter w(out, style(pretty));
+  reg.append_json(w);
+  return out;
+}
+
+std::string latency_json(const LatencyRecorder& lat, bool pretty) {
+  std::string out;
+  JsonWriter w(out, style(pretty));
+  lat.append_json(w);
+  return out;
+}
+
+std::string system_metrics_json(harness::System& system, bool pretty) {
+  std::string out;
+  JsonWriter w(out, style(pretty));
+  system.append_metrics_json(w);
+  return out;
+}
 
 // --------------------------------------------------------------- registry
 
@@ -71,9 +102,7 @@ TEST(MetricsRegistry, JsonSnapshotIsSortedAndDeterministic) {
     reg.counter("zeta")->inc(2);
     reg.counter("alpha")->inc(1);
     reg.gauge("mid")->set(3.0);
-    std::string out;
-    reg.append_json(out, "");
-    return out;
+    return metrics_json(reg, /*pretty=*/true);
   };
   const std::string a = build();
   EXPECT_EQ(a, build());
@@ -353,9 +382,8 @@ TEST(LatencyRecorder, JsonPrettyAndCompactAgreeModuloWhitespace) {
   LatencyRecorder lat;
   lat.on_trace(0, rec_at(1000, 1, 5, TraceMilestone::kPublish));
   lat.on_trace(0, rec_at(2000, 1, 5, TraceMilestone::kPersist));
-  std::string pretty, compact;
-  lat.append_json(pretty, "", /*pretty=*/true);
-  lat.append_json(compact, "", /*pretty=*/false);
+  const std::string pretty = latency_json(lat, /*pretty=*/true);
+  const std::string compact = latency_json(lat, /*pretty=*/false);
   // One canonical serializer: the pretty form is the compact form plus
   // whitespace. (No key or value contains a space, so stripping is safe.)
   std::string stripped = pretty;
@@ -407,6 +435,295 @@ TEST(TraceExporter, OutputIsDeterministic) {
     return exp.to_json();
   };
   EXPECT_EQ(build(), build());
+}
+
+// ----------------------------------------------------------- golden bytes
+//
+// Exact serializer output. bench_scale_1m's parity digest hashes the pretty
+// metrics bytes and scripts grep these layouts, so any byte drift is a bug.
+
+std::string without_newlines(std::string s) {
+  s.erase(std::remove(s.begin(), s.end(), '\n'), s.end());
+  return s;
+}
+
+void fill_registry(MetricsRegistry& reg) {
+  reg.counter("zeta")->inc(2);
+  reg.counter("alpha")->inc(1234567);
+  reg.gauge("depth")->set(4.5);
+  reg.gauge("bytes")->set(3e15);
+  auto* h = reg.histogram("lat_ms", 0.01, 1e4);
+  for (int i = 1; i <= 100; ++i) h->add(0.1 * i);
+  reg.histogram("idle_ms", 0.01, 1e4);
+}
+
+TEST(GoldenJson, MetricsRegistryPretty) {
+  MetricsRegistry reg("n");
+  fill_registry(reg);
+  EXPECT_EQ(metrics_json(reg, true), R"({
+  "counters": {
+    "alpha": 1234567,
+    "zeta": 2
+  },
+  "gauges": {
+    "bytes": 3e+15,
+    "depth": 4.5
+  },
+  "histograms": {
+    "idle_ms": {"count": 0, "p50": 0, "p95": 0, "p99": 0},
+    "lat_ms": {"count": 100, "p50": 5.01187, "p95": 10, "p99": 10}
+  }
+})");
+}
+
+TEST(GoldenJson, MetricsRegistryCompact) {
+  MetricsRegistry reg("n");
+  fill_registry(reg);
+  EXPECT_EQ(metrics_json(reg, false), R"({"counters":{"alpha":1234567,"zeta":2},"gauges":{"bytes":3e+15,"depth":4.5},"histograms":{"idle_ms":{"count":0,"p50":0,"p95":0,"p99":0},"lat_ms":{"count":100,"p50":5.01187,"p95":10,"p99":10}}})");
+}
+
+TEST(GoldenJson, MetricsRegistryEmptyBlocks) {
+  MetricsRegistry empty("n");
+  EXPECT_EQ(metrics_json(empty, true), R"({
+  "counters": {},
+  "gauges": {},
+  "histograms": {}
+})");
+  EXPECT_EQ(metrics_json(empty, false), R"({"counters":{},"gauges":{},"histograms":{}})");
+  MetricsRegistry counters_only("n");
+  counters_only.counter("c")->inc();
+  EXPECT_EQ(metrics_json(counters_only, true), R"({
+  "counters": {
+    "c": 1
+  },
+  "gauges": {},
+  "histograms": {}
+})");
+}
+
+TEST(GoldenJson, TwoNodeSystemMetrics) {
+  harness::SystemConfig config;  // phb + shb0
+  harness::System system(config);
+  ASSERT_EQ(system.nodes().size(), 2u);
+  EXPECT_EQ(system_metrics_json(system, true), R"({
+  "phb": {
+    "counters": {
+      "phb.duplicates": 0,
+      "phb.nack_events_served": 0,
+      "phb.nacks_received": 0,
+      "phb.publishes": 0,
+      "pubend.events_logged": 0,
+      "pubend.events_persisted": 0,
+      "pubend.pressure_released_ticks": 0,
+      "pubend.ticks_chopped": 0,
+      "wal.recoveries": 0,
+      "wal.recovery_truncated_bytes": 0,
+      "wal.torn_tail_recoveries": 0
+    },
+    "gauges": {
+      "disk.busy_usec": 0,
+      "disk.bytes_read": 0,
+      "disk.bytes_written": 0,
+      "disk.dropped_bytes": 0,
+      "disk.reads": 0,
+      "disk.stall_time_usec": 0,
+      "disk.synced_bytes": 0,
+      "disk.syncs": 0,
+      "disk.torn_syncs": 0,
+      "log.appended_bytes": 0,
+      "log.appended_records": 0,
+      "log.barrier_batches": 0,
+      "log.retained_bytes": 0,
+      "net.decode_rejects": 0,
+      "net.frames_decoded": 0,
+      "net.frames_encoded": 0,
+      "net.rx_bytes": 0,
+      "net.tx_bytes": 0,
+      "phb.ack_floor": 0,
+      "pubend.p1.d_window": 0,
+      "pubend.p1.doubt_span": 0,
+      "pubend.p1.head": 0,
+      "pubend.p1.l_window": 0,
+      "pubend.p1.s_window": 0,
+      "pubend.p2.d_window": 0,
+      "pubend.p2.doubt_span": 0,
+      "pubend.p2.head": 0,
+      "pubend.p2.l_window": 0,
+      "pubend.p2.s_window": 0,
+      "pubend.p3.d_window": 0,
+      "pubend.p3.doubt_span": 0,
+      "pubend.p3.head": 0,
+      "pubend.p3.l_window": 0,
+      "pubend.p3.s_window": 0,
+      "pubend.p4.d_window": 0,
+      "pubend.p4.doubt_span": 0,
+      "pubend.p4.head": 0,
+      "pubend.p4.l_window": 0,
+      "pubend.p4.s_window": 0,
+      "pubend.retain_pressure": 0,
+      "wal.gc_dropped_segments": 0,
+      "wal.live_bytes": 184,
+      "wal.segments": 2
+    },
+    "histograms": {
+      "phb.nack_span_ticks": {"count": 0, "p50": 0, "p95": 0, "p99": 0},
+      "wal.group_commit_size": {"count": 0, "p50": 0, "p95": 0, "p99": 0}
+    }
+  },
+  "shb0": {
+    "counters": {
+      "pfs.reads_issued": 0,
+      "pfs.record_bytes_written": 0,
+      "pfs.records_written": 0,
+      "shb.catchup_admitted": 0,
+      "shb.catchup_completions": 0,
+      "shb.catchup_deliveries": 0,
+      "shb.catchup_events_served_from_istream": 0,
+      "shb.catchup_queued": 0,
+      "shb.catchup_streams_closed": 0,
+      "shb.catchup_streams_opened": 0,
+      "shb.constream_deliveries": 0,
+      "shb.gaps_sent": 0,
+      "shb.matched": 0,
+      "shb.nacks_sent_upstream": 0,
+      "shb.silences_sent": 0,
+      "shb.switchovers": 0,
+      "wal.recoveries": 0,
+      "wal.recovery_truncated_bytes": 0,
+      "wal.torn_tail_recoveries": 0
+    },
+    "gauges": {
+      "disk.busy_usec": 0,
+      "disk.bytes_read": 0,
+      "disk.bytes_written": 0,
+      "disk.dropped_bytes": 0,
+      "disk.reads": 0,
+      "disk.stall_time_usec": 0,
+      "disk.synced_bytes": 0,
+      "disk.syncs": 0,
+      "disk.torn_syncs": 0,
+      "log.appended_bytes": 0,
+      "log.appended_records": 0,
+      "log.barrier_batches": 0,
+      "log.retained_bytes": 0,
+      "matching.covering_groups": 0,
+      "matching.match_candidates": 0,
+      "matching.subscriptions": 0,
+      "net.decode_rejects": 0,
+      "net.frames_decoded": 0,
+      "net.frames_encoded": 0,
+      "net.rx_bytes": 0,
+      "net.tx_bytes": 116,
+      "shb.catchup_active": 0,
+      "shb.catchup_queue_depth": 0,
+      "shb.catchup_streams": 0,
+      "shb.connected_subscribers": 0,
+      "shb.p1.doubt_span": 0,
+      "shb.p1.istream_events": 0,
+      "shb.p1.latest_delivered": 0,
+      "shb.p1.processed_upto": 0,
+      "shb.p2.doubt_span": 0,
+      "shb.p2.istream_events": 0,
+      "shb.p2.latest_delivered": 0,
+      "shb.p2.processed_upto": 0,
+      "shb.p3.doubt_span": 0,
+      "shb.p3.istream_events": 0,
+      "shb.p3.latest_delivered": 0,
+      "shb.p3.processed_upto": 0,
+      "shb.p4.doubt_span": 0,
+      "shb.p4.istream_events": 0,
+      "shb.p4.latest_delivered": 0,
+      "shb.p4.processed_upto": 0,
+      "wal.gc_dropped_segments": 0,
+      "wal.live_bytes": 172,
+      "wal.segments": 2
+    },
+    "histograms": {
+      "shb.pfs_read_records": {"count": 0, "p50": 0, "p95": 0, "p99": 0},
+      "wal.group_commit_size": {"count": 0, "p50": 0, "p95": 0, "p99": 0}
+    }
+  }
+})");
+  EXPECT_EQ(system_metrics_json(system, false), R"({"phb":{"counters":{"phb.duplicates":0,"phb.nack_events_served":0,"phb.nacks_received":0,"phb.publishes":0,"pubend.events_logged":0,"pubend.events_persisted":0,"pubend.pressure_released_ticks":0,"pubend.ticks_chopped":0,"wal.recoveries":0,"wal.recovery_truncated_bytes":0,"wal.torn_tail_recoveries":0},"gauges":{"disk.busy_usec":0,"disk.bytes_read":0,"disk.bytes_written":0,"disk.dropped_bytes":0,"disk.reads":0,"disk.stall_time_usec":0,"disk.synced_bytes":0,"disk.syncs":0,"disk.torn_syncs":0,"log.appended_bytes":0,"log.appended_records":0,"log.barrier_batches":0,"log.retained_bytes":0,"net.decode_rejects":0,"net.frames_decoded":0,"net.frames_encoded":0,"net.rx_bytes":0,"net.tx_bytes":0,"phb.ack_floor":0,"pubend.p1.d_window":0,"pubend.p1.doubt_span":0,"pubend.p1.head":0,"pubend.p1.l_window":0,"pubend.p1.s_window":0,"pubend.p2.d_window":0,"pubend.p2.doubt_span":0,"pubend.p2.head":0,"pubend.p2.l_window":0,"pubend.p2.s_window":0,"pubend.p3.d_window":0,"pubend.p3.doubt_span":0,"pubend.p3.head":0,"pubend.p3.l_window":0,"pubend.p3.s_window":0,"pubend.p4.d_window":0,"pubend.p4.doubt_span":0,"pubend.p4.head":0,"pubend.p4.l_window":0,"pubend.p4.s_window":0,"pubend.retain_pressure":0,"wal.gc_dropped_segments":0,"wal.live_bytes":184,"wal.segments":2},"histograms":{"phb.nack_span_ticks":{"count":0,"p50":0,"p95":0,"p99":0},"wal.group_commit_size":{"count":0,"p50":0,"p95":0,"p99":0}}},"shb0":{"counters":{"pfs.reads_issued":0,"pfs.record_bytes_written":0,"pfs.records_written":0,"shb.catchup_admitted":0,"shb.catchup_completions":0,"shb.catchup_deliveries":0,"shb.catchup_events_served_from_istream":0,"shb.catchup_queued":0,"shb.catchup_streams_closed":0,"shb.catchup_streams_opened":0,"shb.constream_deliveries":0,"shb.gaps_sent":0,"shb.matched":0,"shb.nacks_sent_upstream":0,"shb.silences_sent":0,"shb.switchovers":0,"wal.recoveries":0,"wal.recovery_truncated_bytes":0,"wal.torn_tail_recoveries":0},"gauges":{"disk.busy_usec":0,"disk.bytes_read":0,"disk.bytes_written":0,"disk.dropped_bytes":0,"disk.reads":0,"disk.stall_time_usec":0,"disk.synced_bytes":0,"disk.syncs":0,"disk.torn_syncs":0,"log.appended_bytes":0,"log.appended_records":0,"log.barrier_batches":0,"log.retained_bytes":0,"matching.covering_groups":0,"matching.match_candidates":0,"matching.subscriptions":0,"net.decode_rejects":0,"net.frames_decoded":0,"net.frames_encoded":0,"net.rx_bytes":0,"net.tx_bytes":116,"shb.catchup_active":0,"shb.catchup_queue_depth":0,"shb.catchup_streams":0,"shb.connected_subscribers":0,"shb.p1.doubt_span":0,"shb.p1.istream_events":0,"shb.p1.latest_delivered":0,"shb.p1.processed_upto":0,"shb.p2.doubt_span":0,"shb.p2.istream_events":0,"shb.p2.latest_delivered":0,"shb.p2.processed_upto":0,"shb.p3.doubt_span":0,"shb.p3.istream_events":0,"shb.p3.latest_delivered":0,"shb.p3.processed_upto":0,"shb.p4.doubt_span":0,"shb.p4.istream_events":0,"shb.p4.latest_delivered":0,"shb.p4.processed_upto":0,"wal.gc_dropped_segments":0,"wal.live_bytes":172,"wal.segments":2},"histograms":{"shb.pfs_read_records":{"count":0,"p50":0,"p95":0,"p99":0},"wal.group_commit_size":{"count":0,"p50":0,"p95":0,"p99":0}}}})");
+}
+
+void fill_latency(LatencyRecorder& lat) {
+  lat.on_trace(0, rec_at(1000, 1, 5, TraceMilestone::kPublish));
+  lat.on_trace(0, rec_at(2000, 1, 5, TraceMilestone::kPersist));
+  lat.on_trace(1, rec_at(3500, 1, 5, TraceMilestone::kMatch));
+  lat.on_trace(1, range_at(4000, 1, 5, 5, TraceMilestone::kPfsLog));
+  lat.on_trace(1, rec_at(5250, 1, 5, TraceMilestone::kDeliverConstream, 7));
+  lat.on_trace(1, rec_at(6000, 1, 9, TraceMilestone::kMatch));  // orphan
+}
+
+TEST(GoldenJson, LatencyRecorderPretty) {
+  LatencyRecorder lat;
+  fill_latency(lat);
+  EXPECT_EQ(latency_json(lat, true), R"({
+  "stages": {
+    "publish_to_persist": {"count": 1, "p50": 1.25893, "p90": 1.25893, "p99": 1.25893, "p999": 1.25893},
+    "persist_to_match": {"count": 1, "p50": 1.58489, "p90": 1.58489, "p99": 1.58489, "p999": 1.58489},
+    "match_to_pfs_log": {"count": 1, "p50": 0.501187, "p90": 0.501187, "p99": 0.501187, "p999": 0.501187},
+    "pfs_log_to_deliver": {"count": 1, "p50": 1.25893, "p90": 1.25893, "p99": 1.25893, "p999": 1.25893},
+    "deliver_to_ack": {"count": 0, "p50": 0, "p90": 0, "p99": 0, "p999": 0},
+    "end_to_end": {"count": 1, "p50": 5.01187, "p90": 5.01187, "p99": 5.01187, "p999": 5.01187},
+    "catchup_wait": {"count": 0, "p50": 0, "p90": 0, "p99": 0, "p999": 0}
+  },
+  "orphan_transitions": 1,
+  "dropped_keys": 0,
+  "gap_terminated_keys": 0,
+  "open_keys": 1
+})");
+}
+
+TEST(GoldenJson, LatencyRecorderCompact) {
+  LatencyRecorder lat;
+  fill_latency(lat);
+  EXPECT_EQ(latency_json(lat, false), R"({"stages":{"publish_to_persist":{"count":1,"p50":1.25893,"p90":1.25893,"p99":1.25893,"p999":1.25893},"persist_to_match":{"count":1,"p50":1.58489,"p90":1.58489,"p99":1.58489,"p999":1.58489},"match_to_pfs_log":{"count":1,"p50":0.501187,"p90":0.501187,"p99":0.501187,"p999":0.501187},"pfs_log_to_deliver":{"count":1,"p50":1.25893,"p90":1.25893,"p99":1.25893,"p999":1.25893},"deliver_to_ack":{"count":0,"p50":0,"p90":0,"p99":0,"p999":0},"end_to_end":{"count":1,"p50":5.01187,"p90":5.01187,"p99":5.01187,"p999":5.01187},"catchup_wait":{"count":0,"p50":0,"p90":0,"p99":0,"p999":0}},"orphan_transitions":1,"dropped_keys":0,"gap_terminated_keys":0,"open_keys":1})");
+}
+
+TEST(GoldenJson, BrokerProcessResult) {
+  Logger::instance().set_level(LogLevel::kOff);
+  net::EventLoop loop;
+  net::ProcessOptions o;
+  o.name = "phb";
+  o.role = "phb";
+  net::BrokerProcess phb(loop, o);
+  ASSERT_TRUE(phb.started());
+  EXPECT_EQ(phb.result_json(), R"({"name":"phb","role":"phb","started":true,"adopted":false,"done":false,"published":0,"acked":0,"received":0,"gaps":0,"decode_rejects":0,"reassembly_rejects":0})");
+}
+
+// --name and --role come from the command line: the result file must stay
+// valid JSON whatever they hold.
+TEST(GoldenJson, BrokerProcessResultEscapesItsName) {
+  Logger::instance().set_level(LogLevel::kOff);
+  net::EventLoop loop;
+  net::ProcessOptions o;
+  o.name = "a\"b\\c";
+  o.role = "phb";
+  net::BrokerProcess phb(loop, o);
+  const std::string result = phb.result_json();
+  std::string error;
+  const auto doc = parse_json(result, &error);
+  ASSERT_TRUE(doc) << result << ": " << error;
+  ASSERT_NE(doc->string_at("name"), nullptr);
+  EXPECT_EQ(*doc->string_at("name"), "a\"b\\c");
+  EXPECT_EQ(*doc->string_at("role"), "phb");
+}
+
+// The export envelope's line breaks are not part of the contract; every
+// other byte is.
+TEST(GoldenJson, TraceEvents) {
+  TraceExporter exp;
+  exp.set_node_name(0, "phb");
+  exp.set_node_name(1, "shb0");
+  exp.add_fault_span(2000, 5000, "partition phb<->shb0");
+  exp.add_fault_instant(2500, "torn sync");
+  exp.on_trace(0, rec_at(1000, 1, 5, TraceMilestone::kPublish));
+  exp.on_trace(0, rec_at(1000, 2, 6, TraceMilestone::kPublish));
+  exp.on_trace(1, rec_at(4000, 1, 5, TraceMilestone::kDeliverConstream, 7));
+  exp.on_trace(1, range_at(6000, 1, 4, 5, TraceMilestone::kAck, 7));
+  EXPECT_EQ(without_newlines(exp.to_json()), R"({"displayTimeUnit":"ms","traceEvents":[{"ph":"M","pid":1,"name":"process_name","args":{"name":"faults"}},{"ph":"M","pid":2,"name":"process_name","args":{"name":"ticks"}},{"ph":"M","pid":3,"name":"process_name","args":{"name":"phb"}},{"ph":"M","pid":4,"name":"process_name","args":{"name":"shb0"}},{"ph":"i","pid":3,"tid":1,"ts":1000,"s":"p","cat":"milestone","name":"publish","args":{"pubend":1,"tick":5}},{"ph":"b","pid":2,"tid":1,"ts":1000,"cat":"tick","id":"0x10000000005","name":"pubend 1 tick 5"},{"ph":"i","pid":3,"tid":1,"ts":1000,"s":"p","cat":"milestone","name":"publish","args":{"pubend":2,"tick":6}},{"ph":"b","pid":2,"tid":1,"ts":1000,"cat":"tick","id":"0x20000000006","name":"pubend 2 tick 6"},{"ph":"X","pid":1,"tid":1,"ts":2000,"dur":3000,"cat":"fault","name":"partition phb<->shb0"},{"ph":"i","pid":1,"tid":1,"ts":2500,"s":"p","cat":"fault","name":"torn sync"},{"ph":"i","pid":4,"tid":1,"ts":4000,"s":"p","cat":"milestone","name":"deliver-constream","args":{"pubend":1,"tick":5,"sub":7}},{"ph":"i","pid":4,"tid":1,"ts":6000,"s":"p","cat":"milestone","name":"ack","args":{"pubend":1,"tick":4,"tick2":5,"sub":7}},{"ph":"e","pid":2,"tid":1,"ts":6000,"cat":"tick","id":"0x10000000005","name":"pubend 1 tick 5"}]})");
 }
 
 }  // namespace

@@ -26,7 +26,6 @@
 #include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -34,6 +33,7 @@
 
 #include "net/broker_process.hpp"
 #include "net/event_loop.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace {
@@ -162,11 +162,17 @@ gryphon::LogLevel parse_level(const std::string& name) {
   return LogLevel::kWarn;
 }
 
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path + ".tmp", std::ios::trunc);
-  out << content << "\n";
-  out.close();
-  std::rename((path + ".tmp").c_str(), path.c_str());
+/// Writes `content` and a newline to a `.tmp` sibling and renames it over
+/// `path`, so a script polling `path` never reads a partial file.
+bool publish_file(const std::string& path, const std::string& content) {
+  const std::string tmp = path + ".tmp";
+  if (gryphon::write_file(tmp, content + "\n") &&
+      std::rename(tmp.c_str(), path.c_str()) == 0) {
+    return true;
+  }
+  std::remove(tmp.c_str());
+  std::fprintf(stderr, "gryphon_broker: cannot write %s\n", path.c_str());
+  return false;
 }
 
 }  // namespace
@@ -184,16 +190,21 @@ int main(int argc, char** argv) {
 
   gryphon::net::EventLoop loop;
   gryphon::net::BrokerProcess process(loop, flags.process);
-  if (!flags.port_file.empty() && process.port() != 0) {
-    write_file(flags.port_file, std::to_string(process.port()));
+  if (!flags.port_file.empty() && process.port() != 0 &&
+      !publish_file(flags.port_file, std::to_string(process.port()))) {
+    return 1;
   }
 
   // Started beacon for scripts: a durable subscription covers ticks from its
   // establishment onward, so a launcher must not start publishing until the
   // subscribers are up — this file is the wait target.
+  bool write_failed = false;
   std::function<void()> announce_started = [&] {
     if (process.started()) {
-      write_file(flags.started_file, "1");
+      if (!publish_file(flags.started_file, "1")) {
+        write_failed = true;
+        loop.stop();
+      }
       return;
     }
     loop.schedule_after(gryphon::msec(10), [&] { announce_started(); });
@@ -218,7 +229,9 @@ int main(int argc, char** argv) {
   }
 
   const std::string result = process.result_json();
-  if (!flags.result_file.empty()) write_file(flags.result_file, result);
   std::cout << result << "\n";
-  return 0;
+  if (!flags.result_file.empty() && !publish_file(flags.result_file, result)) {
+    write_failed = true;
+  }
+  return write_failed ? 1 : 0;
 }

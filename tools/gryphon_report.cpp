@@ -15,196 +15,36 @@
 //     process plus at least one fault event (what a chaos export promises).
 //
 // Exit code 0 on success, 1 on validation/analysis failure, 2 on usage.
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace {
 
-// ------------------------------------------------------------ tiny JSON
-// Self-contained recursive-descent parser (the repo deliberately has no
-// third-party deps). Good enough for machine-generated JSON: objects,
-// arrays, strings with standard escapes, numbers, true/false/null.
-struct JValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JValue> array;
-  std::vector<std::pair<std::string, JValue>> object;  // insertion order
-
-  [[nodiscard]] const JValue* find(const std::string& key) const {
-    if (kind != Kind::kObject) return nullptr;
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  bool parse(JValue& out) {
-    skip_ws();
-    if (!parse_value(out)) return false;
-    skip_ws();
-    return pos_ == s_.size();  // no trailing garbage
-  }
-
-  [[nodiscard]] std::string error() const {
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "%s at byte %zu", err_.c_str(), pos_);
-    return buf;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-  bool fail(const char* what) {
-    if (err_.empty()) err_ = what;
-    return false;
-  }
-  bool literal(const char* word) {
-    const std::size_t n = std::strlen(word);
-    if (s_.compare(pos_, n, word) != 0) return fail("bad literal");
-    pos_ += n;
-    return true;
-  }
-
-  bool parse_value(JValue& out) {
-    if (pos_ >= s_.size()) return fail("unexpected end");
-    switch (s_[pos_]) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
-      case '"': out.kind = JValue::Kind::kString; return parse_string(out.string);
-      case 't': out.kind = JValue::Kind::kBool; out.boolean = true; return literal("true");
-      case 'f': out.kind = JValue::Kind::kBool; out.boolean = false; return literal("false");
-      case 'n': out.kind = JValue::Kind::kNull; return literal("null");
-      default: return parse_number(out);
-    }
-  }
-
-  bool parse_object(JValue& out) {
-    out.kind = JValue::Kind::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (pos_ >= s_.size() || s_[pos_] != '"' || !parse_string(key)) {
-        return fail("expected object key");
-      }
-      skip_ws();
-      if (pos_ >= s_.size() || s_[pos_] != ':') return fail("expected ':'");
-      ++pos_;
-      skip_ws();
-      JValue value;
-      if (!parse_value(value)) return false;
-      out.object.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (pos_ >= s_.size()) return fail("unterminated object");
-      if (s_[pos_] == ',') { ++pos_; continue; }
-      if (s_[pos_] == '}') { ++pos_; return true; }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool parse_array(JValue& out) {
-    out.kind = JValue::Kind::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      JValue value;
-      if (!parse_value(value)) return false;
-      out.array.push_back(std::move(value));
-      skip_ws();
-      if (pos_ >= s_.size()) return fail("unterminated array");
-      if (s_[pos_] == ',') { ++pos_; continue; }
-      if (s_[pos_] == ']') { ++pos_; return true; }
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  bool parse_string(std::string& out) {
-    ++pos_;  // opening quote
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') { out += c; continue; }
-      if (pos_ >= s_.size()) break;
-      const char e = s_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u':
-          if (pos_ + 4 > s_.size()) return fail("bad \\u escape");
-          pos_ += 4;  // validated length only; analyzer never needs the glyph
-          out += '?';
-          break;
-        default: return fail("bad escape");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool parse_number(JValue& out) {
-    const char* start = s_.c_str() + pos_;
-    char* end = nullptr;
-    out.number = std::strtod(start, &end);
-    if (end == start) return fail("bad number");
-    out.kind = JValue::Kind::kNumber;
-    pos_ += static_cast<std::size_t>(end - start);
-    return true;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-  std::string err_;
-};
-
-bool read_file(const char* path, std::string& out) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return false;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return true;
-}
+using gryphon::JsonValue;
+using Kind = JsonValue::Kind;
 
 // ------------------------------------------------------- trace validation
 int validate_trace(const char* path, bool expect_fault_track) {
   std::string text;
-  if (!read_file(path, text)) {
+  if (!gryphon::read_file(path, text)) {
     std::fprintf(stderr, "gryphon_report: cannot read %s\n", path);
     return 1;
   }
-  JValue root;
-  JsonParser parser(text);
-  if (!parser.parse(root)) {
+  std::string error;
+  const std::optional<JsonValue> root = gryphon::parse_json(text, &error);
+  if (!root) {
     std::fprintf(stderr, "gryphon_report: %s is not valid JSON: %s\n", path,
-                 parser.error().c_str());
+                 error.c_str());
     return 1;
   }
-  const JValue* events = root.find("traceEvents");
-  if (events == nullptr || events->kind != JValue::Kind::kArray) {
+  const JsonValue* events = root->find("traceEvents");
+  if (events == nullptr || events->kind != Kind::kArray) {
     std::fprintf(stderr, "gryphon_report: %s has no traceEvents array\n", path);
     return 1;
   }
@@ -214,42 +54,42 @@ int validate_trace(const char* path, bool expect_fault_track) {
   bool fault_track_named = false;
   std::size_t fault_events = 0;
   for (std::size_t i = 0; i < events->array.size(); ++i) {
-    const JValue& e = events->array[i];
-    if (e.kind != JValue::Kind::kObject) {
+    const JsonValue& e = events->array[i];
+    if (e.kind != Kind::kObject) {
       std::fprintf(stderr, "gryphon_report: event %zu is not an object\n", i);
       return 1;
     }
-    const JValue* ph = e.find("ph");
-    if (ph == nullptr || ph->kind != JValue::Kind::kString) {
+    const std::string* ph = e.string_at("ph");
+    if (ph == nullptr) {
       std::fprintf(stderr, "gryphon_report: event %zu has no ph\n", i);
       return 1;
     }
-    if (ph->string == "M") {
-      const JValue* name = e.find("name");
-      const JValue* args = e.find("args");
-      const JValue* aname = args != nullptr ? args->find("name") : nullptr;
-      if (name != nullptr && name->string == "process_name" && aname != nullptr &&
-          aname->string == "faults") {
+    if (*ph == "M") {
+      const std::string* name = e.string_at("name");
+      const JsonValue* args = e.find("args");
+      const std::string* aname = args != nullptr ? args->string_at("name") : nullptr;
+      if (name != nullptr && *name == "process_name" && aname != nullptr &&
+          *aname == "faults") {
         fault_track_named = true;
       }
       continue;  // metadata carries no timeline position
     }
-    const JValue* ts = e.find("ts");
-    if (ts == nullptr || ts->kind != JValue::Kind::kNumber) {
+    const std::optional<double> ts = e.number_at("ts");
+    if (!ts) {
       std::fprintf(stderr, "gryphon_report: event %zu has no numeric ts\n", i);
       return 1;
     }
-    if (ts->number < last_ts) {
+    if (*ts < last_ts) {
       std::fprintf(stderr,
                    "gryphon_report: event %zu goes backwards in time "
                    "(ts %.0f after %.0f)\n",
-                   i, ts->number, last_ts);
+                   i, *ts, last_ts);
       return 1;
     }
-    last_ts = ts->number;
+    last_ts = *ts;
     ++timed_events;
-    const JValue* cat = e.find("cat");
-    if (cat != nullptr && cat->string == "fault") ++fault_events;
+    const std::string* cat = e.string_at("cat");
+    if (cat != nullptr && *cat == "fault") ++fault_events;
   }
 
   if (expect_fault_track && (!fault_track_named || fault_events == 0)) {
@@ -267,11 +107,11 @@ int validate_trace(const char* path, bool expect_fault_track) {
 // --------------------------------------------------------- scrape report
 int report_scrape(const char* path) {
   std::string text;
-  if (!read_file(path, text)) {
+  if (!gryphon::read_file(path, text)) {
     std::fprintf(stderr, "gryphon_report: cannot read %s\n", path);
     return 1;
   }
-  std::vector<JValue> snapshots;
+  std::vector<JsonValue> snapshots;
   std::size_t line_no = 0;
   std::size_t start = 0;
   while (start < text.size()) {
@@ -279,15 +119,15 @@ int report_scrape(const char* path) {
     if (end == std::string::npos) end = text.size();
     ++line_no;
     if (end > start) {
-      const std::string line = text.substr(start, end - start);
-      JValue v;
-      JsonParser parser(line);
-      if (!parser.parse(v)) {
+      std::string error;
+      std::optional<JsonValue> v =
+          gryphon::parse_json(std::string_view(text).substr(start, end - start), &error);
+      if (!v) {
         std::fprintf(stderr, "gryphon_report: %s line %zu: %s\n", path, line_no,
-                     parser.error().c_str());
+                     error.c_str());
         return 1;
       }
-      snapshots.push_back(std::move(v));
+      snapshots.push_back(std::move(*v));
     }
     start = end + 1;
   }
@@ -296,32 +136,32 @@ int report_scrape(const char* path) {
     return 1;
   }
 
-  const JValue& first = snapshots.front();
-  const JValue& last = snapshots.back();
-  const JValue* t0 = first.find("t");
-  const JValue* t1 = last.find("t");
-  if (t0 == nullptr || t1 == nullptr) {
-    std::fprintf(stderr, "gryphon_report: snapshots lack a \"t\" field\n");
+  const JsonValue& first = snapshots.front();
+  const JsonValue& last = snapshots.back();
+  const std::optional<double> t0 = first.number_at("t");
+  const std::optional<double> t1 = last.number_at("t");
+  if (!t0 || !t1) {
+    std::fprintf(stderr, "gryphon_report: snapshots lack a numeric \"t\" field\n");
     return 1;
   }
-  const double elapsed = t1->number - t0->number;
+  const double elapsed = *t1 - *t0;
   std::printf("scrape: %zu snapshots over %.1f sim-seconds (t=%.1f .. %.1f)\n\n",
-              snapshots.size(), elapsed, t0->number, t1->number);
+              snapshots.size(), elapsed, *t0, *t1);
 
   // Per-counter totals and rates, node by node.
-  const JValue* nodes1 = last.find("nodes");
-  const JValue* nodes0 = first.find("nodes");
-  if (nodes1 != nullptr && nodes1->kind == JValue::Kind::kObject) {
+  const JsonValue* nodes1 = last.find("nodes");
+  const JsonValue* nodes0 = first.find("nodes");
+  if (nodes1 != nullptr && nodes1->kind == Kind::kObject) {
     std::printf("%-8s %-34s %14s %12s\n", "node", "counter", "total", "rate/s");
     for (const auto& [node_name, node1] : nodes1->object) {
-      const JValue* counters1 = node1.find("counters");
+      const JsonValue* counters1 = node1.find("counters");
       if (counters1 == nullptr) continue;
-      const JValue* node0 =
+      const JsonValue* node0 =
           nodes0 != nullptr ? nodes0->find(node_name) : nullptr;
-      const JValue* counters0 = node0 != nullptr ? node0->find("counters") : nullptr;
+      const JsonValue* counters0 = node0 != nullptr ? node0->find("counters") : nullptr;
       for (const auto& [name, v1] : counters1->object) {
         if (v1.number == 0) continue;
-        const JValue* v0 =
+        const JsonValue* v0 =
             counters0 != nullptr ? counters0->find(name) : nullptr;
         const double delta = v1.number - (v0 != nullptr ? v0->number : 0.0);
         if (elapsed > 0) {
@@ -337,26 +177,20 @@ int report_scrape(const char* path) {
   }
 
   // Latency percentile table from the final snapshot.
-  const JValue* latency = last.find("latency");
-  const JValue* stages = latency != nullptr ? latency->find("stages") : nullptr;
-  if (stages != nullptr && stages->kind == JValue::Kind::kObject) {
+  const JsonValue* latency = last.find("latency");
+  const JsonValue* stages = latency != nullptr ? latency->find("stages") : nullptr;
+  if (stages != nullptr && stages->kind == Kind::kObject) {
     std::printf("%-22s %10s %10s %10s %10s %10s\n", "latency stage (ms)", "count",
                 "p50", "p90", "p99", "p999");
     for (const auto& [stage_name, s] : stages->object) {
-      const JValue* count = s.find("count");
-      if (count == nullptr || count->number == 0) continue;
-      const auto p = [&s](const char* key) {
-        const JValue* v = s.find(key);
-        return v != nullptr ? v->number : 0.0;
-      };
+      const auto p = [&s](const char* key) { return s.number_at(key).value_or(0.0); };
+      if (p("count") == 0) continue;
       std::printf("%-22s %10.0f %10.2f %10.2f %10.2f %10.2f\n", stage_name.c_str(),
-                  count->number, p("p50"), p("p90"), p("p99"), p("p999"));
+                  p("count"), p("p50"), p("p90"), p("p99"), p("p999"));
     }
-    const JValue* orphans = latency->find("orphan_transitions");
-    const JValue* dropped = latency->find("dropped_keys");
     std::printf("\nbookkeeping: orphan transitions %.0f, dropped keys %.0f\n",
-                orphans != nullptr ? orphans->number : 0.0,
-                dropped != nullptr ? dropped->number : 0.0);
+                latency->number_at("orphan_transitions").value_or(0.0),
+                latency->number_at("dropped_keys").value_or(0.0));
   } else {
     std::printf("(no latency block in final snapshot)\n");
   }

@@ -333,7 +333,11 @@ int main(int argc, char** argv) {
     // Final scrape line so the file always covers the full run.
     const std::string line = system.metrics_scrape_line();
     std::fwrite(line.data(), 1, line.size(), scrape_file);
-    std::fclose(scrape_file);
+    const bool written = std::ferror(scrape_file) == 0;
+    if (std::fclose(scrape_file) != 0 || !written) {
+      std::fprintf(stderr, "cannot write %s\n", flags.metrics_json.c_str());
+      return 1;
+    }
     std::printf("wrote NDJSON metrics scrape to %s (interval %.1fs)\n",
                 flags.metrics_json.c_str(), flags.metrics_interval_s);
   } else if (!flags.metrics_json.empty()) {
