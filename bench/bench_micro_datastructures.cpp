@@ -6,10 +6,7 @@
 // wall-clock time (unlike the figure benches, which measure simulated time).
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "bench/alloc_hook.hpp"
 #include "matching/parser.hpp"
 #include "matching/subscription_index.hpp"
 #include "routing/tick_map.hpp"
@@ -17,40 +14,6 @@
 #include "util/interval_set.hpp"
 #include "util/rng.hpp"
 #include "wire/codec.hpp"
-
-// Counting allocator hook (same shape as bench_wallclock's): the per-op
-// allocation counters below are deltas of this.
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-
-inline void* counted_alloc(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align), size ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace gryphon {
 namespace {
@@ -184,12 +147,12 @@ void BM_SubscriptionMatchIntoReuse(benchmark::State& state) {
   const auto e = make_event(1);
   std::vector<SubscriberId> scratch;
   index.match_into(*e, scratch);  // warm the scratch to steady-state capacity
-  const std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = bench::g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
     index.match_into(*e, scratch);
     benchmark::DoNotOptimize(scratch.data());
   }
-  const auto allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+  const auto allocs = bench::g_alloc_count.load(std::memory_order_relaxed) - allocs0;
   state.counters["allocs_per_op"] = benchmark::Counter(
       static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
   state.SetItemsProcessed(state.iterations());
@@ -322,12 +285,12 @@ void BM_WireEncodeKind(benchmark::State& state, MsgKind kind) {
   const auto msg = wire_sample(kind);
   std::vector<std::byte> buf;
   buf.reserve(64 * 1024);
-  const std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = bench::g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
     buf.clear();
     benchmark::DoNotOptimize(wire::append_encoded_frame(buf, *msg));
   }
-  const auto allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+  const auto allocs = bench::g_alloc_count.load(std::memory_order_relaxed) - allocs0;
   state.counters["allocs_per_op"] = benchmark::Counter(
       static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -341,12 +304,12 @@ void BM_WireDecodeKind(benchmark::State& state, MsgKind kind) {
   const auto msg = wire_sample(kind);
   const auto arena = std::make_shared<sim::FrameArena>(wire::encode(*msg));
   const auto bytes = arena->view(0, arena->buffer().size());
-  const std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = bench::g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
     auto r = wire::decode(bytes, arena);
     benchmark::DoNotOptimize(r.msg);
   }
-  const auto allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+  const auto allocs = bench::g_alloc_count.load(std::memory_order_relaxed) - allocs0;
   state.counters["allocs_per_op"] = benchmark::Counter(
       static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -17,9 +17,9 @@
 //
 // Reported per workload: simulated-events-per-wall-second (an "event" is one
 // executed simulator task), deliveries-per-wall-second, and heap
-// allocations-per-event via the counting operator-new hook below. Each
-// workload runs `--reps` times and the fastest rep is reported (wall-clock
-// noise is one-sided).
+// allocations-per-event via the counting operator-new hook of alloc_hook.hpp.
+// Each workload runs `--reps` times and the fastest rep is reported
+// (wall-clock noise is one-sided).
 //
 //   bench_wallclock [--out FILE] [--check FILE] [--tolerance F]
 //                   [--reps N] [--smoke]
@@ -33,51 +33,14 @@
 // wired into tools/run_chaos.sh.
 #include "bench/bench_common.hpp"
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <optional>
 
+#include "bench/alloc_hook.hpp"
+
 #include "harness/chaos.hpp"
-
-// ------------------------------------------------------------------------
-// Counting allocator hook: every heap allocation in the process bumps one
-// relaxed atomic. Deletes are uncounted (allocs-per-event is the budget the
-// substrate model in DESIGN.md §4.2 talks about).
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-
-inline void* counted_alloc(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align), size ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace gryphon::bench {
 namespace {

@@ -114,4 +114,13 @@ void EventLoop::run_for(SimDuration duration) {
   fire_due_timers();
 }
 
+bool EventLoop::run_until(const std::function<bool()>& done, SimDuration timeout) {
+  const SimTime deadline = elapsed() + timeout;
+  while (!done()) {
+    if (elapsed() > deadline) return false;
+    tick(msec(2));
+  }
+  return true;
+}
+
 }  // namespace gryphon::net

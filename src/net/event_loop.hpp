@@ -73,6 +73,10 @@ class EventLoop final : public sim::Scheduler {
   /// tests). Returns early on stop().
   void run_for(SimDuration duration);
 
+  /// Runs until `done()` holds, checking it before every iteration.
+  /// Returns false once `timeout` of wall time passed without it.
+  bool run_until(const std::function<bool()>& done, SimDuration timeout);
+
   /// One poll + dispatch iteration with the given maximum wait.
   void tick(SimDuration max_wait);
 
