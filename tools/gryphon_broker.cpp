@@ -31,6 +31,7 @@
 #include <string>
 #include <type_traits>
 
+#include "core/subscriber_client.hpp"
 #include "net/broker_process.hpp"
 #include "net/event_loop.hpp"
 #include "util/json.hpp"
@@ -56,7 +57,7 @@ void usage() {
       "usage: gryphon_broker --role {phb|imb|shb|pub|sub} --name NAME [options]\n"
       "  --listen PORT        broker listen port (0 = ephemeral)\n"
       "  --port-file PATH     write the bound port here after listen\n"
-      "  --started-file PATH  write '1' once the role has started\n"
+      "  --started-file PATH  write '1' once the role has started (sub: subscribed)\n"
       "  --parent HOST:PORT   upstream broker (everyone except the PHB)\n"
       "  --children N         broker children to await before starting\n"
       "  --wal-dir DIR        WAL directory, fdatasync'ed (restart recovers)\n"
@@ -197,10 +198,13 @@ int main(int argc, char** argv) {
 
   // Started beacon for scripts: a durable subscription covers ticks from its
   // establishment onward, so a launcher must not start publishing until the
-  // subscribers are up — this file is the wait target.
+  // subscribers are up — this file is the wait target. A subscriber writes
+  // it once its SHB confirmed the subscription, not at connect().
   bool write_failed = false;
   std::function<void()> announce_started = [&] {
-    if (process.started()) {
+    const bool subscribed =
+        process.subscriber() == nullptr || process.subscriber()->connected();
+    if (process.started() && subscribed) {
       if (!publish_file(flags.started_file, "1")) {
         write_failed = true;
         loop.stop();
