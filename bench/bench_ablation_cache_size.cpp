@@ -15,11 +15,11 @@ struct Result {
 };
 
 Result run(Tick cache_span_ticks) {
-  auto config = paper_config();
+  auto config = harness::paper_config();
   config.num_shbs = 1;
   config.broker.costs.cache_span_ticks = cache_span_ticks;
   harness::System system(config);
-  auto wl = paper_workload();
+  harness::PaperWorkloadConfig wl;
   wl.input_rate_eps = 400;
   harness::start_paper_publishers(system, wl);
   auto subs = harness::add_group_subscribers(system, 0, 8, 4, 1);
@@ -49,9 +49,8 @@ Result run(Tick cache_span_ticks) {
 }  // namespace
 }  // namespace gryphon::bench
 
-int main() {
-  using namespace gryphon;
-  using namespace gryphon::bench;
+int gryphon::bench::run_ablation_cache_size(Args& args) {
+  args.finish();
 
   print_header(
       "Ablation: SHB event-cache span vs catchup traffic reaching the PHB\n"

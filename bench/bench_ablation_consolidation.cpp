@@ -9,10 +9,10 @@ namespace gryphon::bench {
 namespace {
 
 double steady_constream_rate() {
-  auto config = paper_config();
+  auto config = harness::paper_config();
   config.num_shbs = 1;
   harness::System system(config);
-  harness::start_paper_publishers(system, paper_workload());
+  harness::start_paper_publishers(system, harness::PaperWorkloadConfig{});
   harness::add_group_subscribers(system, 0, 100, 4, 1, /*machines=*/5);
   system.run_for(sec(10));
   const auto before = system.oracle().delivered_count();
@@ -22,13 +22,13 @@ double steady_constream_rate() {
 }
 
 double mass_catchup_rate(int subscribers) {
-  auto config = paper_config();
+  auto config = harness::paper_config();
   config.num_shbs = 1;
   // Unlimited client-side flow control so the separate-stream CPU cost is
   // the binding constraint, as in the paper's capacity statement.
   config.broker.costs.catchup_rate_limit_eps = 1e9;
   harness::System system(config);
-  harness::start_paper_publishers(system, paper_workload());
+  harness::start_paper_publishers(system, harness::PaperWorkloadConfig{});
   auto subs = harness::add_group_subscribers(system, 0, subscribers, 4, 1, 5);
   system.run_for(sec(5));
 
@@ -45,9 +45,8 @@ double mass_catchup_rate(int subscribers) {
 }  // namespace
 }  // namespace gryphon::bench
 
-int main() {
-  using namespace gryphon;
-  using namespace gryphon::bench;
+int gryphon::bench::run_ablation_consolidation(Args& args) {
+  args.finish();
 
   print_header(
       "Ablation: stream consolidation (paper 5, result 3)\n"

@@ -16,7 +16,7 @@ struct Result {
 };
 
 Result run(Tick max_retain_ticks) {
-  auto config = paper_config();
+  auto config = harness::paper_config();
   config.num_shbs = 1;
   config.num_pubends = 4;
   if (max_retain_ticks > 0) {
@@ -26,7 +26,7 @@ Result run(Tick max_retain_ticks) {
   // retention, not on a fat istream cache.
   config.broker.costs.cache_span_ticks = 2000;
   harness::System system(config);
-  auto wl = paper_workload();
+  harness::PaperWorkloadConfig wl;
   wl.input_rate_eps = 400;
   harness::start_paper_publishers(system, wl);
   auto subs = harness::add_group_subscribers(system, 0, 8, 4, 1);
@@ -56,9 +56,8 @@ Result run(Tick max_retain_ticks) {
 }  // namespace
 }  // namespace gryphon::bench
 
-int main() {
-  using namespace gryphon;
-  using namespace gryphon::bench;
+int gryphon::bench::run_ablation_early_release(Args& args) {
+  args.finish();
 
   print_header(
       "Ablation: early-release maxRetain sweep\n"

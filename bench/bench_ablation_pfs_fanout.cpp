@@ -29,7 +29,7 @@ RunResult run_pfs(int fanout) {
   sim::Simulator sim;
   sim::LinkNetwork net(sim);
   core::BrokerConfig broker;
-  core::NodeResources node(sim, net, "shb", broker, paper_config().shb_disk);
+  core::NodeResources node(sim, net, "shb", broker, harness::paper_config().shb_disk);
   core::CostModel costs;
   core::PersistentFilteringSubsystem pfs(node, costs);
   pfs.open({PubendId{1}});
@@ -47,7 +47,7 @@ RunResult run_baseline(int fanout) {
   sim::Simulator sim;
   sim::LinkNetwork net(sim);
   core::BrokerConfig broker;
-  core::NodeResources node(sim, net, "shb", broker, paper_config().shb_disk);
+  core::NodeResources node(sim, net, "shb", broker, harness::paper_config().shb_disk);
   core::PerSubscriberEventLog log(node.log_volume);
   for (auto s : first_n(fanout)) log.register_subscriber(s);
   auto event = std::make_shared<matching::EventData>(
@@ -65,9 +65,8 @@ RunResult run_baseline(int fanout) {
 }  // namespace
 }  // namespace gryphon::bench
 
-int main() {
-  using namespace gryphon;
-  using namespace gryphon::bench;
+int gryphon::bench::run_ablation_pfs_fanout(Args& args) {
+  args.finish();
 
   print_header(
       "Ablation: PFS vs per-subscriber logging across matching fan-out n\n"

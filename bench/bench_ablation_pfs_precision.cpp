@@ -19,11 +19,11 @@ struct Result {
 };
 
 Result run(std::size_t batch) {
-  auto config = paper_config();
+  auto config = harness::paper_config();
   config.num_shbs = 1;
   config.broker.costs.pfs_imprecise_batch = batch;
   harness::System system(config);
-  auto wl = paper_workload();
+  harness::PaperWorkloadConfig wl;
   wl.input_rate_eps = 400;
   harness::start_paper_publishers(system, wl);
   auto subs = harness::add_group_subscribers(system, 0, 8, 4, 1);
@@ -51,9 +51,8 @@ Result run(std::size_t batch) {
 }  // namespace
 }  // namespace gryphon::bench
 
-int main() {
-  using namespace gryphon;
-  using namespace gryphon::bench;
+int gryphon::bench::run_ablation_pfs_precision(Args& args) {
+  args.finish();
 
   print_header(
       "Ablation: PFS precision (paper 4.2) — write volume vs refiltering\n"

@@ -1,21 +1,22 @@
 // Chaos soak — many seeded fault schedules back to back over a churning
 // workload, with the always-on invariant monitor armed the whole time.
 //
-//   bench_chaos_soak [num_seeds] [first_seed] [horizon_s] [--inject-violation]
-//                    [--wire=codec] [--frame-faults] [--wire-verify=always]
-//                    [--trace-out=FILE]
+//   gryphon_bench chaos_soak [num_seeds] [first_seed] [horizon_s] [--inject-violation]
+//       [--wire=codec|struct] [--frame-faults] [--wire-verify=always] [--trace-out=FILE]
 //
 // Each seed plans a fresh randomized fault sequence (partitions, flaps,
 // degradations, disk stalls, torn syncs, crashes, crash-during-recovery,
-// double faults) over a 5-broker topology with 8 churning subscribers, runs
+// double faults) over the 5-broker chaos-soak deployment
+// (harness::chaos_soak_config) with 8 churning subscribers, runs
 // it to quiescence, and verifies exactly-once + zero residual catchup
 // streams. --wire=codec runs every link through the byte codec transport;
 // --frame-faults additionally arms seeded frame-corruption windows (byte
 // flips / truncations the receiving transport must reject and survive);
 // --wire-verify=always forces the canonical re-encode check on every decode
-// instead of the sampled 1-in-64 default (the ASan soak leg uses this). On a violation the decoded fault timeline, the seed, and the
-// flight-recorder trace dump are printed, and the process exits non-zero —
-// rerunning with that first_seed replays the identical schedule.
+// instead of the sampled 1-in-64 default (the ASan soak leg uses this). On a
+// violation the decoded fault timeline, the seed, and the flight-recorder
+// trace dump are printed, and the process exits non-zero — rerunning with
+// that first_seed replays the identical schedule.
 //
 // --trace-out=FILE exports the LAST seed's run as a Chrome trace-event JSON
 // (milestone instants + per-tick spans, chaos fault windows on a dedicated
@@ -29,36 +30,24 @@
 #include "bench/bench_common.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 
 #include "harness/chaos.hpp"
 
-int main(int argc, char** argv) {
-  using namespace gryphon;
-  using namespace gryphon::bench;
-
-  bool inject_violation = false;
-  bool codec_wire = false;
-  bool frame_faults = false;
-  bool verify_always = false;
-  std::string trace_out;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--inject-violation") inject_violation = true;
-    else if (arg == "--wire=codec") codec_wire = true;
-    else if (arg == "--wire=struct") codec_wire = false;
-    else if (arg == "--frame-faults") frame_faults = true;
-    else if (arg == "--wire-verify=always") verify_always = true;
-    else if (arg.rfind("--trace-out=", 0) == 0) trace_out = arg.substr(12);
-    else pos.push_back(arg);
+int gryphon::bench::run_chaos_soak(Args& args) {
+  const bool inject_violation = args.flag("--inject-violation");
+  const std::string wire = args.value("--wire=").value_or("struct");
+  if (wire != "codec" && wire != "struct") {
+    args.fail("bad --wire '" + wire + "': expected codec or struct");
   }
-  const int num_seeds = !pos.empty() ? parse_arg<int>("seed count", pos[0], 1) : 10;
-  const std::uint64_t first_seed =
-      pos.size() > 1 ? parse_arg<std::uint64_t>("first seed", pos[1]) : 1;
-  const double horizon_s =
-      pos.size() > 2 ? parse_arg<double>("horizon seconds", pos[2], 0.001) : 10.0;
+  const bool codec_wire = wire == "codec";
+  const bool frame_faults = args.flag("--frame-faults");
+  const bool verify_always = args.flag("--wire-verify=always");
+  const std::string trace_out = args.value("--trace-out=").value_or("");
+  const int num_seeds = args.positional<int>("seed count", 10, 1);
+  const auto first_seed = args.positional<std::uint64_t>("first seed", 1);
+  const double horizon_s = args.positional<double>("horizon seconds", 10.0, 0.001);
+  args.finish();
 
   print_header("Chaos soak: " + std::to_string(num_seeds) + " seeded schedules, " +
                fmt(horizon_s, 0) + "s fault horizon each, wire=" +
@@ -71,10 +60,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < num_seeds; ++i) {
     const std::uint64_t seed = first_seed + static_cast<std::uint64_t>(i);
 
-    harness::SystemConfig sc;
-    sc.num_pubends = 2;
-    sc.num_shbs = 2;
-    sc.num_intermediates = 1;
+    harness::SystemConfig sc = harness::chaos_soak_config();
     if (codec_wire) sc.wire = harness::WireMode::kCodec;
     if (verify_always) sc.wire_verify_every = 1;
     // Export the final seed only: one trace file, bounded memory.
@@ -87,13 +73,7 @@ int main(int argc, char** argv) {
       sc.trace_ring_capacity = 1 << 16;
     }
     harness::System system(sc);
-    harness::PaperWorkloadConfig wl;
-    wl.input_rate_eps = 300;
-    harness::start_paper_publishers(system, wl);
-    auto subs = harness::add_group_subscribers(system, 0, 4, 4, 1);
-    auto more = harness::add_group_subscribers(system, 1, 4, 4, 100);
-    subs.insert(subs.end(), more.begin(), more.end());
-    system.run_for(sec(3));
+    const auto subs = harness::start_chaos_soak_load(system);
 
     // Subscriber churn rides along under the faults; stop disconnecting
     // once the last fault is repaired so quiescence is reachable.

@@ -1,21 +1,21 @@
 // Churn-storm resilience bench: reconnect herds under admission control,
 // seeded backoff, and storage-pressure degradation.
 //
-// Each seed hosts one SHB with a large durable-subscriber population
-// (default 5000), warms it up, then fires StormDriver waves that drop the
-// entire herd at one instant and reconnect it simultaneously a few seconds
-// later — thousands of catchup streams arriving at the SHB in the same
-// millisecond. The SHB's admission control (catchup_admission_limit) must
-// keep the concurrently active stream count bounded while the FIFO queue
-// drains; the PHB runs an AdaptiveRetainPolicy whose watermarks the storm's
-// unacked backlog crosses, so retention shrinks toward Td and stragglers
-// take oracle-legal gap messages instead of pinning the log. The last seed
-// composes the storm with an SHB-uplink partition spanning the reconnect
-// instant, so the herd arrives while the upstream is dark and every
-// retransmission rides the seeded exponential backoff.
+// Each seed runs the reconnect-herd deployment (harness::herd_config): one
+// SHB with a large durable-subscriber population (default 5000), warmed up,
+// then StormDriver waves that drop the entire herd at one instant and
+// reconnect it simultaneously a few seconds later — thousands of catchup
+// streams arriving at the SHB in the same millisecond. The SHB's admission
+// control (catchup_admission_limit) must keep the concurrently active stream
+// count bounded while the FIFO queue drains; the PHB runs an
+// AdaptiveRetainPolicy whose watermarks the storm's unacked backlog crosses,
+// so retention shrinks toward Td and stragglers take oracle-legal gap
+// messages instead of pinning the log. The last seed composes the storm with
+// an SHB-uplink partition spanning the reconnect instant, so the herd
+// arrives while the upstream is dark and every retransmission rides the
+// seeded exponential backoff.
 //
-//   bench_churn_storm [num_seeds] [first_seed] [--smoke] [--subs N]
-//                     [--out FILE]
+//   gryphon_bench churn_storm [num_seeds] [first_seed] [--smoke] [--subs N] [--out FILE]
 //
 // Defaults: 10 seeds x 5000 subscribers x 2 waves. The run fails (exit 1)
 // if any seed violates the quiescence oracle, if the sampled active-stream
@@ -29,7 +29,6 @@
 #include "bench/bench_common.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 
 #include "core/release_policy.hpp"
@@ -80,32 +79,7 @@ struct StormResult {
 
 StormResult run_seed(std::uint64_t seed, int subscribers, int waves,
                      bool composed_partition, std::size_t admission_limit) {
-  harness::SystemConfig sc;
-  sc.num_pubends = 1;
-  sc.num_intermediates = 1;
-  sc.num_shbs = 1;
-  // A beefier broker than the paper's F80: the bench must be admission-
-  // limited, not CPU-limited — 5000 subscribers' steady deliveries alone
-  // would eat half of 6 cores and the backpressure pause would swamp the
-  // queueing dynamics under test.
-  sc.broker.cores = 32;
-  // ...and an SSD-class SHB spindle: every stream's PFS reads share one
-  // disk, and the default 6 ms seek caps the whole herd at ~50 streams/s no
-  // matter how wide the admission gate is.
-  sc.shb_disk.read_seek_latency = usec(100);
-  sc.shb_disk.sync_latency = msec(1);
-  sc.broker.costs.catchup_admission_limit = admission_limit;
-  // Small istream cache (2 s < the 4 s down window) so the herd's catchup
-  // truly depends on pubend retention — the degraded log answers the tail of
-  // each stream with gap messages instead of a fat SHB cache hiding them.
-  sc.broker.costs.cache_span_ticks = 2000;
-  // The paper's 380 ev/s catchup pacing would stretch a 40k-event herd over
-  // minutes; this bench measures admission/backoff dynamics, not recovery
-  // slope, so let the drain run at wire speed.
-  sc.broker.costs.catchup_rate_limit_eps = 5000.0;
-  // Small segments so early release actually frees live bytes at a
-  // granularity the watermarks can see.
-  sc.storage.segment_bytes = 64 * 1024;
+  harness::SystemConfig sc = harness::herd_config(admission_limit);
   // Full trace coverage: the queue-wait histogram keys off kCatchupQueued /
   // kCatchupAdmitted records, which are stamped with each stream's resume
   // tick — at the default 1-in-64 sampling most of the herd would be
@@ -119,15 +93,7 @@ StormResult run_seed(std::uint64_t seed, int subscribers, int waves,
   sc.policy = std::make_shared<core::AdaptiveRetainPolicy>(ro);
 
   harness::System system(sc);
-  harness::PaperWorkloadConfig wl;
-  wl.input_rate_eps = 200;
-  wl.groups = 100;
-  harness::start_paper_publishers(system, wl);
-  auto subs = harness::add_group_subscribers(system, 0, subscribers,
-                                             /*groups=*/100, /*first_id=*/1,
-                                             /*machines=*/10,
-                                             /*ack_interval=*/sec(1));
-  system.run_for(sec(2));
+  auto subs = harness::start_herd_load(system, subscribers);
 
   const SimTime storm_armed = system.simulator().now();
   harness::StormDriver::Options so;
@@ -227,29 +193,13 @@ StormResult run_seed(std::uint64_t seed, int subscribers, int waves,
 }  // namespace
 }  // namespace gryphon::bench
 
-int main(int argc, char** argv) {
-  using namespace gryphon;
-  using namespace gryphon::bench;
-
-  std::string out_path;
-  bool smoke = false;
-  int subscribers = 0;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      GRYPHON_CHECK_MSG(i + 1 < argc, "missing value for " << arg);
-      return argv[++i];
-    };
-    if (arg == "--out") out_path = next();
-    else if (arg == "--subs") subscribers = parse_arg<int>("--subs", next(), 1);
-    else if (arg == "--smoke") smoke = true;
-    else pos.push_back(arg);
-  }
-  int num_seeds = !pos.empty() ? parse_arg<int>("seed count", pos[0], 1) : (smoke ? 2 : 10);
-  const std::uint64_t first_seed =
-      pos.size() > 1 ? parse_arg<std::uint64_t>("first seed", pos[1]) : 1;
-  if (subscribers == 0) subscribers = smoke ? 400 : 5000;
+int gryphon::bench::run_churn_storm(Args& args) {
+  const std::string out_path = args.value("--out").value_or("");
+  const bool smoke = args.flag("--smoke");
+  const int subscribers = args.number<int>("--subs", smoke ? 400 : 5000, 1);
+  const int num_seeds = args.positional<int>("seed count", smoke ? 2 : 10, 1);
+  const auto first_seed = args.positional<std::uint64_t>("first seed", 1);
+  args.finish();
   const int waves = smoke ? 1 : 2;
   // A full 5000-stream herd through a 64-wide gate needs ~0.5 s per stream
   // of paced catchup — minutes of drain. 256 keeps the queue deep (4700+

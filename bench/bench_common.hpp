@@ -1,8 +1,9 @@
-// Shared scaffolding for the figure/table reproduction benchmarks: the
-// paper-default system configuration (§5's testbed translated through the
-// DESIGN.md §4 substitutions) and small table/series printers.
+// Shared scaffolding for the gryphon_bench workloads: the argument parser,
+// the allocation counters, table printers and the BENCH_*.json reader and
+// writer. The deployments they run live in harness/workload.hpp.
 #pragma once
 
+#include <atomic>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -11,6 +12,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -19,48 +21,127 @@
 
 namespace gryphon::bench {
 
-/// Parses all of `text` as a number in [lo, hi], or exits with status 2
-/// naming the argument, as gryphon_broker does for its flags. (atoi would
-/// read "abc" as 0 and, say, run zero seeds and exit 0.)
-template <typename T>
-T parse_arg(const std::string& name, const std::string& text,
-            std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
-            std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
-  T parsed{};
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, parsed);
-  if (text.empty() || ec != std::errc{} || stop != end || !(parsed >= lo && parsed <= hi)) {
-    std::ostringstream os;
-    os << "bad " << name << " '" << text << "': expected a number in [" << lo << ", "
-       << hi << "]";
-    std::fprintf(stderr, "%s\n", os.str().c_str());
+/// A workload's arguments: everything after its name on the gryphon_bench
+/// command line. A workload takes its flags (flag, value, number), then its
+/// positional numbers in order, then calls finish(). A flag without its
+/// value, a malformed number or an argument that nothing took exits 2
+/// before the workload runs.
+class Args {
+ public:
+  Args(std::string workload, std::vector<std::string> args)
+      : workload_(std::move(workload)), args_(std::move(args)), taken_(args_.size()) {}
+
+  /// True if `name` was given.
+  bool flag(std::string_view name) {
+    bool given = false;
+    for (std::size_t i = 0; i < args_.size(); ++i) {
+      if (!taken_[i] && args_[i] == name) given = taken_[i] = true;
+    }
+    return given;
+  }
+
+  /// The last value given for `name`: the argument after it or, for a name
+  /// that ends in '=' (`--trace-out=`), the rest of the same argument.
+  std::optional<std::string> value(std::string_view name) {
+    std::optional<std::string> given;
+    for (std::size_t i = 0; i < args_.size(); ++i) {
+      if (taken_[i] || !args_[i].starts_with(name)) continue;
+      if (name.ends_with('=')) {
+        taken_[i] = true;
+        given = args_[i].substr(name.size());
+      } else if (args_[i] == name) {
+        if (i + 1 == args_.size()) fail("missing value for " + args_[i]);
+        taken_[i] = taken_[i + 1] = true;
+        given = args_[++i];
+      }
+    }
+    return given;
+  }
+
+  /// value(name) as a number in [lo, hi], or `fallback` if not given.
+  template <typename T>
+  T number(std::string_view name, std::type_identity_t<T> fallback,
+           std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
+           std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+    const auto text = value(name);
+    return text ? parse_arg<T>(std::string(name), *text, lo, hi) : fallback;
+  }
+
+  /// The next argument that is not a flag and that no flag took, as a number
+  /// named `what` of at least `lo`; `fallback` if none is left.
+  template <typename T>
+  T positional(const std::string& what, std::type_identity_t<T> fallback,
+               std::type_identity_t<T> lo = std::numeric_limits<T>::lowest()) {
+    for (std::size_t i = 0; i < args_.size(); ++i) {
+      if (taken_[i] || args_[i].starts_with("--")) continue;
+      taken_[i] = true;
+      return parse_arg<T>(what, args_[i], lo, std::numeric_limits<T>::max());
+    }
+    return fallback;
+  }
+
+  /// Exits 2 naming the first argument that nothing took.
+  void finish() const {
+    for (std::size_t i = 0; i < args_.size(); ++i) {
+      if (!taken_[i]) fail("unexpected argument '" + args_[i] + "'");
+    }
+  }
+
+  /// Prints `message` for this workload and exits 2.
+  [[noreturn]] void fail(const std::string& message) const {
+    std::fprintf(stderr, "gryphon_bench %s: %s\n", workload_.c_str(), message.c_str());
     std::exit(2);
   }
-  return parsed;
-}
 
-/// §5 defaults: RS/6000 F80-class brokers (6 cores), event logging at the
-/// PHB dominating end-to-end latency at ~44 ms, SSA-class SHB disks, 1 ms
-/// broker links, 4 pubends.
-inline harness::SystemConfig paper_config() {
-  harness::SystemConfig config;
-  config.num_pubends = 4;
-  config.broker.cores = 6;
-  config.broker.costs.publish_base = usec(2000);
-  config.phb_disk.sync_latency = msec(43);
-  config.phb_disk.write_bandwidth_bytes_per_sec = 40e6;
-  config.shb_disk.sync_latency = msec(4);
-  config.shb_disk.read_seek_latency = msec(6);
-  return config;
-}
+ private:
+  /// Parses all of `text` as a number in [lo, hi], or exits 2 naming the
+  /// argument. (atoi would read "abc" as 0 and, say, run zero seeds and
+  /// exit 0.)
+  template <typename T>
+  T parse_arg(const std::string& name, const std::string& text, T lo, T hi) const {
+    T parsed{};
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, parsed);
+    if (text.empty() || ec != std::errc{} || stop != end || !(parsed >= lo && parsed <= hi)) {
+      std::ostringstream os;
+      os << "bad " << name << " '" << text << "': expected a number in [" << lo << ", " << hi
+         << "]";
+      fail(os.str());
+    }
+    return parsed;
+  }
 
-inline harness::PaperWorkloadConfig paper_workload() {
-  harness::PaperWorkloadConfig wl;
-  wl.input_rate_eps = 800.0;  // over 4 pubends
-  wl.groups = 4;              // each subscriber matches 200 ev/s
-  wl.payload_bytes = 250;     // 418 bytes with headers
-  return wl;
-}
+  std::string workload_;
+  std::vector<std::string> args_;
+  std::vector<bool> taken_;
+};
+
+/// The workloads of bench/main.cpp's table, one per bench_<name>.cpp.
+int run_ablation_cache_size(Args& args);
+int run_ablation_consolidation(Args& args);
+int run_ablation_early_release(Args& args);
+int run_ablation_pfs_fanout(Args& args);
+int run_ablation_pfs_precision(Args& args);
+int run_chaos_soak(Args& args);
+int run_churn_storm(Args& args);
+int run_fig4_scalability(Args& args);
+int run_fig5_catchup_duration(Args& args);
+int run_fig6_delivered_released(Args& args);
+int run_fig7_crash_recovery(Args& args);
+int run_fig8_crash_throughput(Args& args);
+int run_jms_autoack(Args& args);
+int run_latency_5hop(Args& args);
+int run_pfs_micro(Args& args);
+int run_recovery_fuzz(Args& args);
+int run_scale_1m(Args& args);
+int run_sockets(Args& args);
+int run_wallclock(Args& args);
+
+/// Heap allocations so far, and the usable bytes the live ones hold, as
+/// counted by the operator new/delete that bench/alloc_hook.hpp defines in
+/// gryphon_bench's main.cpp.
+extern std::atomic<std::uint64_t> g_alloc_count;
+extern std::atomic<std::uint64_t> g_live_bytes;
 
 inline void print_header(const std::string& title) {
   std::printf("\n================================================================\n");
@@ -104,14 +185,15 @@ struct WorkloadReport {
   /// "latency" object: <stage>.count / .p50_ms / .p99_ms / .p999_ms. Keeps
   /// every perf PR accountable to tail latency, not just throughput.
   std::vector<BenchMetric> latency;
-
-  [[nodiscard]] const BenchMetric* find(const std::string& metric) const {
-    for (const auto& m : metrics) {
-      if (m.name == metric) return &m;
-    }
-    return nullptr;
-  }
 };
+
+/// The value of the metric called `name`, or 0 if `metrics` has none.
+inline double metric_value(const std::vector<BenchMetric>& metrics, const std::string& name) {
+  for (const auto& m : metrics) {
+    if (m.name == name) return m.value;
+  }
+  return 0;
+}
 
 /// Sums every node's registry counters into the report's nested `registry`
 /// block (probes refreshed first so storage totals are current). Counter
@@ -193,16 +275,6 @@ inline const JsonValue* find_bench_workload(const JsonValue& doc, const std::str
     if (name != nullptr && *name == workload && var != nullptr && *var == variant) return &w;
   }
   return nullptr;
-}
-
-/// Prints a (time, value) series as aligned columns.
-inline void print_series(const std::string& name,
-                         const std::vector<TimeSeries::Point>& points,
-                         double scale = 1.0, int precision = 1) {
-  std::printf("\n-- %s --\n%-12s%s\n", name.c_str(), "t(s)", "value");
-  for (const auto& p : points) {
-    std::printf("%-12.1f%.*f\n", to_seconds(p.time), precision, p.value * scale);
-  }
 }
 
 }  // namespace gryphon::bench

@@ -20,21 +20,11 @@ struct Result {
 };
 
 Result run_config(int shbs, bool churn) {
-  auto config = paper_config();
+  auto config = harness::paper_config();
   config.num_shbs = shbs;
   harness::System system(config);
-  harness::start_paper_publishers(system, paper_workload());
-
   const int per_shb = churn ? 88 : 100;  // paper's populations
-  std::vector<core::DurableSubscriber*> subs;
-  for (int i = 0; i < shbs; ++i) {
-    auto added = harness::add_group_subscribers(
-        system, i, per_shb, 4, static_cast<std::uint32_t>(1000 * (i + 1)),
-        /*machines=*/5);
-    subs.insert(subs.end(), added.begin(), added.end());
-  }
-
-  system.run_for(sec(10));  // warmup: connect, fill pipelines
+  const auto subs = harness::start_fig4_load(system, per_shb);
   std::unique_ptr<harness::ChurnDriver> driver;
   if (churn) {
     driver = std::make_unique<harness::ChurnDriver>(system, subs, sec(300), sec(5));
@@ -65,9 +55,8 @@ Result run_config(int shbs, bool churn) {
 }  // namespace
 }  // namespace gryphon::bench
 
-int main() {
-  using namespace gryphon;
-  using namespace gryphon::bench;
+int gryphon::bench::run_fig4_scalability(Args& args) {
+  args.finish();
 
   print_header(
       "Figure 4: peak aggregate subscriber rate vs number of SHBs\n"

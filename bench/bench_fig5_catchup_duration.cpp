@@ -4,14 +4,13 @@
 // durations usually between 5 and 6 seconds.
 #include "bench/bench_common.hpp"
 
-int main() {
-  using namespace gryphon;
-  using namespace gryphon::bench;
+int gryphon::bench::run_fig5_catchup_duration(Args& args) {
+  args.finish();
 
-  auto config = paper_config();
+  auto config = harness::paper_config();
   config.num_shbs = 1;
   harness::System system(config);
-  harness::start_paper_publishers(system, paper_workload());
+  harness::start_paper_publishers(system, harness::PaperWorkloadConfig{});
   auto subs = harness::add_group_subscribers(system, 0, 88, 4, 1, /*machines=*/5);
 
   struct Completion {

@@ -6,17 +6,16 @@
 
 #include "harness/sampler.hpp"
 
-int main() {
-  using namespace gryphon;
-  using namespace gryphon::bench;
+int gryphon::bench::run_fig6_delivered_released(Args& args) {
+  args.finish();
 
-  auto config = paper_config();
+  auto config = harness::paper_config();
   config.num_shbs = 1;
   // The paper's SHB ran in a JVM: periodic collector pauses.
   config.shb_gc_period = sec(25);
   config.shb_gc_pause = msec(300);
   harness::System system(config);
-  harness::start_paper_publishers(system, paper_workload());
+  harness::start_paper_publishers(system, harness::PaperWorkloadConfig{});
   auto subs = harness::add_group_subscribers(system, 0, 88, 4, 1, /*machines=*/5);
 
   const PubendId p1 = system.pubends()[0];

@@ -13,15 +13,14 @@
 
 #include "harness/sampler.hpp"
 
-int main() {
-  using namespace gryphon;
-  using namespace gryphon::bench;
+int gryphon::bench::run_fig7_crash_recovery(Args& args) {
+  args.finish();
 
-  auto config = paper_config();
+  auto config = harness::paper_config();
   config.num_shbs = 1;
   harness::System system(config);
-  harness::start_paper_publishers(system, paper_workload());
-  auto subs = harness::add_group_subscribers(system, 0, 40, 4, 1, /*machines=*/5);
+  harness::start_paper_publishers(system, harness::PaperWorkloadConfig{});
+  const auto subs = harness::add_group_subscribers(system, 0, 40, 4, 1, /*machines=*/5);
 
   Summary catchup_durations;
   system.on_shb_ready(0, [&](core::SubscriberHostingBroker& shb) {
@@ -46,29 +45,7 @@ int main() {
   });
 
   // Timeline: warmup 30s | crash 25s | recovery (held) | reconnect | catchup.
-  system.run_for(sec(30));
-  for (auto* sub : subs) sub->set_reconnect_hold(true);
-  const SimTime crash_at = system.simulator().now();
-  system.crash_shb(0);
-  system.run_for(sec(25));
-  system.restart_shb(0);
-
-  // Hold reconnection until the constream has recovered to near-realtime.
-  SimTime recovered_at = 0;
-  while (recovered_at == 0) {
-    system.run_for(msec(500));
-    bool ready = true;
-    for (PubendId p : system.pubends()) {
-      if (system.shb().latest_delivered(p) <
-          tick_of_simtime(system.simulator().now()) - 1500) {
-        ready = false;
-        break;
-      }
-    }
-    if (ready) recovered_at = system.simulator().now();
-  }
-  for (auto* sub : subs) sub->set_reconnect_hold(false);
-  const SimTime reconnect_at = system.simulator().now();
+  const auto [crash_at, recovered_at, reconnect_at] = harness::run_shb_crash(system, subs);
 
   // Let every subscriber finish catchup, then settle.
   system.run_for(sec(220));

@@ -11,7 +11,7 @@ namespace gryphon::bench {
 namespace {
 
 double run(int subscribers) {
-  auto config = paper_config();
+  auto config = harness::paper_config();
   config.num_shbs = 1;
   config.num_pubends = 4;
   config.shb_db_connections = 4;             // 4 JDBC connections + threads
@@ -21,7 +21,7 @@ double run(int subscribers) {
 
   // Saturating input: every subscriber matches the full 800 ev/s stream, so
   // delivery is gated purely by the CT commit path.
-  auto wl = paper_workload();
+  harness::PaperWorkloadConfig wl;
   wl.groups = 1;
   harness::start_paper_publishers(system, wl);
 
@@ -44,9 +44,8 @@ double run(int subscribers) {
 }  // namespace
 }  // namespace gryphon::bench
 
-int main() {
-  using namespace gryphon;
-  using namespace gryphon::bench;
+int gryphon::bench::run_jms_autoack(Args& args) {
+  args.finish();
 
   print_header(
       "JMS auto-acknowledge peak rate (paper 5.2)\n"

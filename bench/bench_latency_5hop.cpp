@@ -5,11 +5,10 @@
 // system cannot take responsibility for it earlier).
 #include "bench/bench_common.hpp"
 
-int main() {
-  using namespace gryphon;
-  using namespace gryphon::bench;
+int gryphon::bench::run_latency_5hop(Args& args) {
+  args.finish();
 
-  auto config = paper_config();
+  auto config = harness::paper_config();
   config.num_pubends = 1;
   config.num_intermediates = 3;  // PHB + 3 + SHB = 5 brokers
   config.num_shbs = 1;

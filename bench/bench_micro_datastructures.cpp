@@ -2,7 +2,7 @@
 // stream (TickMap) accumulation and horizon queries, interval sets,
 // content-based matching, selector parsing, PFS record codecs, and the wire
 // codec itself (per-MsgKind encode/decode with an allocs-per-op counter —
-// the micro view of bench_wallclock's codec tax). These run on real
+// the micro view of the wallclock workload's codec tax). These run on real
 // wall-clock time (unlike the figure benches, which measure simulated time).
 #include <benchmark/benchmark.h>
 

@@ -72,7 +72,7 @@ RunResult run_pfs() {
   sim::Simulator sim;
   sim::LinkNetwork net(sim);
   core::BrokerConfig broker;
-  auto disk_config = paper_config().shb_disk;
+  auto disk_config = harness::paper_config().shb_disk;
   core::NodeResources node(sim, net, "shb", broker, disk_config);
   core::CostModel costs;
   core::PersistentFilteringSubsystem pfs(node, costs);
@@ -97,7 +97,7 @@ RunResult run_baseline() {
   sim::Simulator sim;
   sim::LinkNetwork net(sim);
   core::BrokerConfig broker;
-  auto disk_config = paper_config().shb_disk;
+  auto disk_config = harness::paper_config().shb_disk;
   core::NodeResources node(sim, net, "shb", broker, disk_config);
   core::PerSubscriberEventLog log(node.log_volume);
   for (int s = 1; s <= kSubscribers; ++s) {
@@ -122,9 +122,8 @@ RunResult run_baseline() {
 }  // namespace
 }  // namespace gryphon::bench
 
-int main() {
-  using namespace gryphon;
-  using namespace gryphon::bench;
+int gryphon::bench::run_pfs_micro(Args& args) {
+  args.finish();
 
   print_header(
       "PFS microbenchmark (paper 5.1.2): 80,000 events, 100 subscribers,\n"

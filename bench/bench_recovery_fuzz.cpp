@@ -12,8 +12,7 @@
 // run must settle back to quiescence with the DeliveryOracle's exactly-once
 // contract intact.
 //
-//   bench_recovery_fuzz [num_seeds] [first_seed] [--smoke] [--out FILE]
-//                       [--wal-dir DIR]
+//   gryphon_bench recovery_fuzz [num_seeds] [first_seed] [--smoke] [--out FILE] [--wal-dir DIR]
 //
 // Defaults: 100 seeds x 2 crashes per seed = 200+ seeded crash points spread
 // across PHB, intermediate and SHB WALs (the intermediate's knowledge/DB
@@ -37,7 +36,6 @@
 // committed evidence that mid-frame tears were reached).
 #include "bench/bench_common.hpp"
 
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 
@@ -210,29 +208,13 @@ SeedResult run_seed(std::uint64_t seed, const std::string& wal_dir, bool codec) 
 }  // namespace
 }  // namespace gryphon::bench
 
-int main(int argc, char** argv) {
-  using namespace gryphon;
-  using namespace gryphon::bench;
-
-  std::string out_path;
-  std::string wal_dir;
-  bool smoke = false;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      GRYPHON_CHECK_MSG(i + 1 < argc, "missing value for " << arg);
-      return argv[++i];
-    };
-    if (arg == "--out") out_path = next();
-    else if (arg == "--wal-dir") wal_dir = next();
-    else if (arg == "--smoke") smoke = true;
-    else pos.push_back(arg);
-  }
-  int num_seeds = !pos.empty() ? parse_arg<int>("seed count", pos[0], 1) : 100;
-  const std::uint64_t first_seed =
-      pos.size() > 1 ? parse_arg<std::uint64_t>("first seed", pos[1]) : 1;
-  if (smoke && pos.empty()) num_seeds = 3;
+int gryphon::bench::run_recovery_fuzz(Args& args) {
+  const std::string out_path = args.value("--out").value_or("");
+  const std::string wal_dir = args.value("--wal-dir").value_or("");
+  const bool smoke = args.flag("--smoke");
+  const int num_seeds = args.positional<int>("seed count", smoke ? 3 : 100, 1);
+  const auto first_seed = args.positional<std::uint64_t>("first seed", 1);
+  args.finish();
 
   // The codec leg re-runs a slice of the seed range over the byte-level
   // wire with frame corruption armed across every crash window (the

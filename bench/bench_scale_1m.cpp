@@ -26,17 +26,15 @@
 //                              population ratio between smallest/largest
 //   gate_shard_parity          parts B+C parity checks all hold
 //
+//   gryphon_bench scale_1m [--smoke] [--out FILE]
+//
 // --smoke runs the 10^4-subscription tier (plus shrunken B/C parts) only.
+// Only --out FILE writes the bench JSON (committed: BENCH_scale_1m.json).
 #include "bench/bench_common.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
-
-// Part A reports resident heap bytes per subscription, not just traffic.
-#define GRYPHON_ALLOC_HOOK_LIVE_BYTES
-#include "bench/alloc_hook.hpp"
 
 #include "core/pfs.hpp"
 #include "core/sharding.hpp"
@@ -311,12 +309,12 @@ void mix64(std::uint64_t& h, std::uint64_t v) {
 /// exercised), publishers stopped before quiescing so the delivered set is
 /// identical across configurations.
 ParityRun run_parity(std::size_t pfs_shards, int subscribers, SimDuration window) {
-  auto config = paper_config();
+  auto config = harness::paper_config();
   config.num_shbs = 1;
-  config.pfs_shards = pfs_shards;
+  config.broker.pfs_shards = pfs_shards;
   harness::System system(config);
 
-  auto wl = paper_workload();
+  harness::PaperWorkloadConfig wl;
   wl.input_rate_eps = 400.0;
   const int n_pubends = static_cast<int>(system.pubends().size());
   const auto interval =
@@ -368,21 +366,10 @@ ParityRun run_parity(std::size_t pfs_shards, int subscribers, SimDuration window
 }  // namespace
 }  // namespace gryphon::bench
 
-int main(int argc, char** argv) {
-  using namespace gryphon;
-  using namespace gryphon::bench;
-
-  bool smoke = false;
-  std::string out_path = "BENCH_scale_1m.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    else if (arg == "--out" && i + 1 < argc) out_path = argv[++i];
-    else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--out FILE]\n", argv[0]);
-      return 2;
-    }
-  }
+int gryphon::bench::run_scale_1m(Args& args) {
+  const bool smoke = args.flag("--smoke");
+  const std::string out_path = args.value("--out").value_or("");
+  args.finish();
 
   print_header(smoke ? "Million-subscriber scale bench (smoke: 10^4 tier)"
                      : "Million-subscriber scale bench (10^4 / 10^5 / 10^6)");
@@ -487,8 +474,10 @@ int main(int argc, char** argv) {
     reports.push_back(std::move(report));
   }
 
-  write_bench_json(out_path, reports);
-  std::printf("\nwrote %s\n", out_path.c_str());
+  if (!out_path.empty()) {
+    write_bench_json(out_path, reports);
+    std::printf("\nwrote %s\n", out_path.c_str());
+  }
 
   GRYPHON_CHECK_MSG(gate_compression, "covering-group compression gate failed");
   GRYPHON_CHECK_MSG(gate_sublinear, "sublinear match-cost gate failed");

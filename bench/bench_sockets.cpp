@@ -23,9 +23,10 @@
 // Closed-loop saturation is out of scope: core::Publisher has no unacked
 // window yet, so an unpaced publisher measures its own retry storm.
 //
-//   bench_sockets [--events N] [--rate EPS] [--reps R] [--out FILE]
-//                 [--check FILE] [--smoke]
+//   gryphon_bench sockets [--events N] [--rate EPS] [--reps R] [--out FILE]
+//                         [--check FILE] [--smoke]
 //
+// --smoke makes the defaults 1,000 events and one rep.
 // --check FILE gates this run against a committed artifact: the committed
 // file must record an exactly-once run, and this run must be exactly-once
 // with e2e p50 and p99 at or under the file's gate_e2e_p50_ms and
@@ -33,7 +34,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <optional>
 #include <string>
@@ -60,14 +60,6 @@ std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-matching::EventDataPtr make_event(std::uint64_t seq) {
-  matching::EventData::AttributeList attrs;
-  attrs.emplace_back("g", matching::Value(static_cast<std::int64_t>(seq % kGroups)));
-  attrs.emplace_back("seq", matching::Value(static_cast<std::int64_t>(seq)));
-  return std::make_shared<matching::EventData>(std::move(attrs), std::string{},
-                                               kPayloadBytes);
 }
 
 /// Subscriber side: latency per event and the exactly-once checks.
@@ -168,6 +160,7 @@ void run_rep(std::uint64_t seed, std::uint64_t events, double rate_eps, Totals& 
   // sleeps on a loop timer until the next one is due.
   std::uint64_t next = 1;
   core::Publisher& p = *publisher.publisher();
+  const auto make_event = harness::group_event_factory(kGroups, kPayloadBytes);
   std::function<void()> generate = [&] {
     const std::int64_t now = now_ns();
     while (next <= events && due_ns[next - 1] <= now) p.publish(make_event(next++));
@@ -206,9 +199,20 @@ double percentile(std::vector<double> v, double pct) {
   return v[rank];
 }
 
-int run(std::uint64_t events, double rate_eps, int reps, const std::string& out,
-        const std::string& check) {
-  std::printf("bench_sockets: real runtime, loopback TCP, %llu events x %d reps at %.0f ev/s\n",
+}  // namespace
+}  // namespace gryphon::bench
+
+int gryphon::bench::run_sockets(Args& args) {
+  const bool smoke = args.flag("--smoke");
+  const auto events = args.number<std::uint64_t>("--events", smoke ? 1000 : 5000, 1);
+  const double rate_eps = args.number<double>("--rate", 1000, 0.001);
+  const int reps = args.number<int>("--reps", smoke ? 1 : 3, 1);
+  const std::string out = args.value("--out").value_or("");
+  const std::string check = args.value("--check").value_or("");
+  args.finish();
+  Logger::instance().set_level(LogLevel::kWarn);
+
+  std::printf("sockets: real runtime, loopback TCP, %llu events x %d reps at %.0f ev/s\n",
               static_cast<unsigned long long>(events), reps, rate_eps);
   Totals t;
   for (int i = 0; i < reps; ++i) run_rep(static_cast<std::uint64_t>(i + 1), events, rate_eps, t);
@@ -304,39 +308,4 @@ int run(std::uint64_t events, double rate_eps, int reps, const std::string& out,
     }
   }
   return rc;
-}
-
-}  // namespace
-}  // namespace gryphon::bench
-
-int main(int argc, char** argv) {
-  std::uint64_t events = 5000;
-  double rate = 1000;
-  int reps = 3;
-  std::string out;
-  std::string check;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc) {
-      events = gryphon::bench::parse_arg<std::uint64_t>("--events", argv[++i], 1);
-    } else if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc) {
-      rate = gryphon::bench::parse_arg<double>("--rate", argv[++i], 0.001);
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = gryphon::bench::parse_arg<int>("--reps", argv[++i], 1);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      check = argv[++i];
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      events = 1000;
-      reps = 1;
-      out.clear();
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_sockets [--events N] [--rate EPS] [--reps R] "
-                   "[--out FILE] [--check FILE] [--smoke]\n");
-      return 2;
-    }
-  }
-  gryphon::Logger::instance().set_level(gryphon::LogLevel::kWarn);
-  return gryphon::bench::run(events, rate, reps, out, check);
 }

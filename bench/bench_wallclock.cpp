@@ -10,10 +10,10 @@
 //     ev/s input over 4 pubends, 400 subscribers) run for a fixed window of
 //     simulated time,
 //   * chaos_soak_seed1 — one seeded chaos schedule over the 5-broker soak
-//     topology (the workload tools/run_chaos.sh loops on),
-//   * catchup_herd_5k — one bench_churn_storm wave: 5,000 subscribers drop
-//     and reconnect at once through a 256-wide admission gate, timed until
-//     the last catchup stream switches over.
+//     deployment (the workload tools/run_chaos.sh loops on),
+//   * catchup_herd_5k — one churn_storm wave on the herd deployment: 5,000
+//     subscribers drop and reconnect at once through a 256-wide admission
+//     gate, timed until the last catchup stream switches over.
 //
 // Reported per workload: simulated-events-per-wall-second (an "event" is one
 // executed simulator task), deliveries-per-wall-second, and heap
@@ -21,8 +21,7 @@
 // Each workload runs `--reps` times and the fastest rep is reported
 // (wall-clock noise is one-sided).
 //
-//   bench_wallclock [--out FILE] [--check FILE] [--tolerance F]
-//                   [--reps N] [--smoke]
+//   gryphon_bench wallclock [--out FILE] [--check FILE] [--tolerance F] [--reps N] [--smoke]
 //
 // --check compares this run's events/wall-second (deliveries/wall-second for
 // the herd, whose cost is per catchup delivery) against the post_pr (or,
@@ -34,11 +33,8 @@
 #include "bench/bench_common.hpp"
 
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <optional>
-
-#include "bench/alloc_hook.hpp"
 
 #include "harness/chaos.hpp"
 
@@ -59,18 +55,6 @@ struct Measurement {
 
   [[nodiscard]] double events_per_wall_sec() const {
     return static_cast<double>(executed_tasks) / wall_seconds;
-  }
-  [[nodiscard]] double registry_counter(const std::string& name) const {
-    for (const auto& m : registry) {
-      if (m.name == name) return m.value;
-    }
-    return 0;
-  }
-  [[nodiscard]] double latency_metric(const std::string& name) const {
-    for (const auto& m : latency) {
-      if (m.name == name) return m.value;
-    }
-    return 0;
   }
 };
 
@@ -98,17 +82,11 @@ Measurement measure(harness::System& system, Body&& body) {
 /// Run once per wire mode: the codec variant prices the encode/decode tax
 /// (every message framed + CRC'd + parsed) against the struct fast path.
 Measurement run_fig4_steady(harness::WireMode wire) {
-  auto config = paper_config();
+  auto config = harness::paper_config();
   config.num_shbs = 4;
   config.wire = wire;
   harness::System system(config);
-  harness::start_paper_publishers(system, paper_workload());
-  for (int i = 0; i < config.num_shbs; ++i) {
-    harness::add_group_subscribers(system, i, /*count=*/100, /*groups=*/4,
-                                   static_cast<std::uint32_t>(1000 * (i + 1)),
-                                   /*machines=*/5);
-  }
-  system.run_for(sec(10));  // warmup: connect, fill pipelines
+  harness::start_fig4_load(system, /*per_shb=*/100);
 
   auto m = measure(system, [&] { system.run_for(sec(20)); });
   system.run_for(sec(5));  // quiesce outside the timed window
@@ -124,21 +102,11 @@ Measurement run_fig4_steady(harness::WireMode wire) {
   return m;
 }
 
-/// One seeded chaos schedule over the soak topology (bench_chaos_soak's
+/// One seeded chaos schedule over the soak deployment (chaos_soak's
 /// per-seed body), timed end to end including quiescence verification.
-Measurement run_chaos_soak(std::uint64_t seed, double horizon_s) {
-  harness::SystemConfig sc;
-  sc.num_pubends = 2;
-  sc.num_shbs = 2;
-  sc.num_intermediates = 1;
-  harness::System system(sc);
-  harness::PaperWorkloadConfig wl;
-  wl.input_rate_eps = 300;
-  harness::start_paper_publishers(system, wl);
-  auto subs = harness::add_group_subscribers(system, 0, 4, 4, 1);
-  auto more = harness::add_group_subscribers(system, 1, 4, 4, 100);
-  subs.insert(subs.end(), more.begin(), more.end());
-  system.run_for(sec(3));
+Measurement run_chaos_seed(std::uint64_t seed, double horizon_s) {
+  harness::System system(harness::chaos_soak_config());
+  const auto subs = harness::start_chaos_soak_load(system);
 
   harness::ChurnDriver churn(system, subs, sec(6), sec(2));
   harness::ChaosConfig config;
@@ -152,30 +120,13 @@ Measurement run_chaos_soak(std::uint64_t seed, double horizon_s) {
   return m;
 }
 
-/// One reconnect herd in bench_churn_storm's shape (no early release): 5,000
+/// One reconnect herd in churn_storm's shape (no early release): 5,000
 /// durable subscribers on one SHB behind one intermediate drop at once, come
 /// back 4 s later through a 256-wide admission gate, and the window runs
 /// from the drop until no catchup stream is left.
 Measurement run_catchup_herd() {
-  harness::SystemConfig sc;
-  sc.num_pubends = 1;
-  sc.num_intermediates = 1;
-  sc.broker.cores = 32;
-  sc.shb_disk.read_seek_latency = usec(100);
-  sc.shb_disk.sync_latency = msec(1);
-  sc.broker.costs.catchup_admission_limit = 256;
-  sc.broker.costs.cache_span_ticks = 2000;
-  sc.broker.costs.catchup_rate_limit_eps = 5000.0;
-  sc.storage.segment_bytes = 64 * 1024;
-  harness::System system(sc);
-  harness::PaperWorkloadConfig wl;
-  wl.input_rate_eps = 200;
-  wl.groups = 100;
-  harness::start_paper_publishers(system, wl);
-  auto subs = harness::add_group_subscribers(system, 0, /*count=*/5000, wl.groups,
-                                             /*first_id=*/1, /*machines=*/10,
-                                             /*ack_interval=*/sec(1));
-  system.run_for(sec(2));
+  harness::System system(harness::herd_config(/*admission_limit=*/256));
+  auto subs = harness::start_herd_load(system, /*subscribers=*/5000);
 
   harness::StormDriver::Options so;
   so.waves = 1;
@@ -219,36 +170,18 @@ WorkloadReport to_report(const std::string& name, const Measurement& m) {
 }  // namespace
 }  // namespace gryphon::bench
 
-int main(int argc, char** argv) {
-  using namespace gryphon;
-  using namespace gryphon::bench;
-
-  std::string out_path;
-  std::string check_path;
-  double tolerance = 0.15;
-  int reps = 3;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      GRYPHON_CHECK_MSG(i + 1 < argc, "missing value for " << arg);
-      return argv[++i];
-    };
-    if (arg == "--out") out_path = next();
-    else if (arg == "--check") check_path = next();
-    else if (arg == "--tolerance") tolerance = parse_arg<double>("--tolerance", next(), 0, 1);
-    else if (arg == "--reps") reps = parse_arg<int>("--reps", next(), 1);
-    else if (arg == "--smoke") smoke = true;
-    else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return 2;
-    }
-  }
+int gryphon::bench::run_wallclock(Args& args) {
+  const std::string out_path = args.value("--out").value_or("");
+  const std::string check_path = args.value("--check").value_or("");
+  const double tolerance = args.number<double>("--tolerance", 0.15, 0, 1);
+  const int reps = args.number<int>("--reps", 3, 1);
+  const bool smoke = args.flag("--smoke");
+  args.finish();
 
   if (smoke) {
     // Sanitizer entry point: one short schedule, oracle armed, no timing.
-    print_header("bench_wallclock --smoke: 1 chaos seed, oracle armed");
-    const auto m = run_chaos_soak(/*seed=*/1, /*horizon_s=*/5.0);
+    print_header("wallclock --smoke: 1 chaos seed, oracle armed");
+    const auto m = run_chaos_seed(/*seed=*/1, /*horizon_s=*/5.0);
     std::printf("ok: %llu tasks, %llu deliveries, %.1f sim-s\n",
                 static_cast<unsigned long long>(m.executed_tasks),
                 static_cast<unsigned long long>(m.delivered), m.sim_seconds);
@@ -276,7 +209,7 @@ int main(int argc, char** argv) {
        kEventRate},
       {"fig4_steady_4shb_codec",
        [] { return run_fig4_steady(harness::WireMode::kCodec); }, kEventRate},
-      {"chaos_soak_seed1", [] { return run_chaos_soak(/*seed=*/1, /*horizon_s=*/8.0); },
+      {"chaos_soak_seed1", [] { return run_chaos_seed(/*seed=*/1, /*horizon_s=*/8.0); },
        kEventRate},
       {"catchup_herd_5k", run_catchup_herd, "deliveries_per_wall_sec"},
   };
@@ -301,7 +234,7 @@ int main(int argc, char** argv) {
     // knowledge, so any gap notification means the protocol (not the clock)
     // regressed. Checked unconditionally — it needs no committed reference.
     if (name.rfind("fig4_steady_4shb", 0) == 0) {
-      const double gaps = best.registry_counter("shb.gaps_sent");
+      const double gaps = metric_value(best.registry, "shb.gaps_sent");
       if (gaps > 0) {
         std::printf("  METRIC REGRESSION: %s sent %.0f gap notifications on a "
                     "steady workload (expected 0)\n",
@@ -311,7 +244,7 @@ int main(int argc, char** argv) {
       // No broker crashes in the steady workload: a recovery scan that had
       // to discard a torn WAL tail means the persistence engine corrupted or
       // lost bytes on a fault-free run.
-      const double truncated = best.registry_counter("wal.recovery_truncated_bytes");
+      const double truncated = metric_value(best.registry, "wal.recovery_truncated_bytes");
       if (truncated > 0) {
         std::printf("  METRIC REGRESSION: %s truncated %.0f WAL bytes on a "
                     "steady workload (expected 0)\n",
@@ -320,7 +253,7 @@ int main(int argc, char** argv) {
       }
       // No frame corruption is injected here, so a transport decode reject
       // means the wire codec itself produced or mis-parsed a frame.
-      const double rejects = best.registry_counter("net.decode_rejects");
+      const double rejects = metric_value(best.registry, "net.decode_rejects");
       if (rejects > 0) {
         std::printf("  METRIC REGRESSION: %s rejected %.0f frames on a clean "
                     "steady workload (expected 0)\n",
@@ -335,8 +268,8 @@ int main(int argc, char** argv) {
       // delivery stall without flapping on bucket quantization. Zero
       // samples means the latency plumbing itself broke (tracer sink
       // unhooked, sampling off).
-      const double e2e_count = best.latency_metric("end_to_end.count");
-      const double e2e_p99 = best.latency_metric("end_to_end.p99_ms");
+      const double e2e_count = metric_value(best.latency, "end_to_end.count");
+      const double e2e_p99 = metric_value(best.latency, "end_to_end.p99_ms");
       if (e2e_count == 0) {
         std::printf("  METRIC REGRESSION: %s recorded no sampled end-to-end "
                     "latencies (latency pipeline broken?)\n",
@@ -367,7 +300,7 @@ int main(int argc, char** argv) {
                     name.c_str(), check_path.c_str());
       } else {
         const double floor = *committed * (1.0 - tolerance);
-        const double got = reports.back().find(gated)->value;
+        const double got = metric_value(reports.back().metrics, gated);
         if (got < floor) {
           std::printf("  REGRESSION: %s %s %.0f < floor %.0f (committed %.0f, "
                       "tolerance %.0f%%)\n",
@@ -387,13 +320,11 @@ int main(int argc, char** argv) {
   // pooled-arena/zero-copy/sampled-verify encode path cannot silently rot
   // back toward the old 5x tax.
   {
-    const auto metric = [&](const std::string& name, const char* key) -> double {
+    const auto metric = [&](const std::string& name, const char* key) {
       for (const auto& r : reports) {
-        if (r.name == name) {
-          if (const auto* m = r.find(key)) return m->value;
-        }
+        if (r.name == name) return metric_value(r.metrics, key);
       }
-      return 0;
+      return 0.0;
     };
     const double struct_rate = metric("fig4_steady_4shb", "sim_events_per_wall_sec");
     const double codec_rate =

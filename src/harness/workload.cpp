@@ -4,6 +4,18 @@
 
 namespace gryphon::harness {
 
+SystemConfig paper_config() {
+  SystemConfig config;
+  config.num_pubends = 4;
+  config.broker.cores = 6;
+  config.broker.costs.publish_base = usec(2000);
+  config.phb_disk.sync_latency = msec(43);
+  config.phb_disk.write_bandwidth_bytes_per_sec = 40e6;
+  config.shb_disk.sync_latency = msec(4);
+  config.shb_disk.read_seek_latency = msec(6);
+  return config;
+}
+
 core::Publisher::EventFactory group_event_factory(int groups,
                                                   std::size_t payload_bytes) {
   GRYPHON_CHECK(groups >= 1);
@@ -50,6 +62,105 @@ std::vector<core::DurableSubscriber*> add_group_subscribers(
     out.push_back(&sub);
   }
   return out;
+}
+
+std::vector<core::DurableSubscriber*> start_fig4_load(System& system, int per_shb) {
+  start_paper_publishers(system, PaperWorkloadConfig{});
+  std::vector<core::DurableSubscriber*> subs;
+  for (int i = 0; i < system.num_shbs(); ++i) {
+    auto added = add_group_subscribers(system, i, per_shb, 4,
+                                       static_cast<std::uint32_t>(1000 * (i + 1)),
+                                       /*machines=*/5);
+    subs.insert(subs.end(), added.begin(), added.end());
+  }
+  system.run_for(sec(10));  // connect, fill pipelines
+  return subs;
+}
+
+ShbCrashTimes run_shb_crash(System& system, const std::vector<core::DurableSubscriber*>& subs) {
+  ShbCrashTimes times;
+  system.run_for(sec(30));
+  for (auto* sub : subs) sub->set_reconnect_hold(true);
+  times.crash_at = system.simulator().now();
+  system.crash_shb(0);
+  system.run_for(sec(25));
+  system.restart_shb(0);
+
+  while (times.recovered_at == 0) {
+    system.run_for(msec(500));
+    bool ready = true;
+    for (PubendId p : system.pubends()) {
+      if (system.shb().latest_delivered(p) <
+          tick_of_simtime(system.simulator().now()) - 1500) {
+        ready = false;
+        break;
+      }
+    }
+    if (ready) times.recovered_at = system.simulator().now();
+  }
+  for (auto* sub : subs) sub->set_reconnect_hold(false);
+  times.reconnect_at = system.simulator().now();
+  return times;
+}
+
+SystemConfig chaos_soak_config() {
+  SystemConfig config;
+  config.num_pubends = 2;
+  config.num_intermediates = 1;
+  config.num_shbs = 2;
+  return config;
+}
+
+std::vector<core::DurableSubscriber*> start_chaos_soak_load(System& system) {
+  PaperWorkloadConfig wl;
+  wl.input_rate_eps = 300;
+  start_paper_publishers(system, wl);
+  auto subs = add_group_subscribers(system, 0, 4, 4, 1);
+  auto more = add_group_subscribers(system, 1, 4, 4, 100);
+  subs.insert(subs.end(), more.begin(), more.end());
+  system.run_for(sec(3));
+  return subs;
+}
+
+SystemConfig herd_config(std::size_t admission_limit) {
+  SystemConfig config;
+  config.num_pubends = 1;
+  config.num_intermediates = 1;
+  config.num_shbs = 1;
+  // A beefier broker than the paper's F80: the herd must be admission-
+  // limited, not CPU-limited — 5000 subscribers' steady deliveries alone
+  // would eat half of 6 cores and the backpressure pause would swamp the
+  // queueing dynamics under test.
+  config.broker.cores = 32;
+  // ...and an SSD-class SHB spindle: every stream's PFS reads share one
+  // disk, and the default 6 ms seek caps the whole herd at ~50 streams/s no
+  // matter how wide the admission gate is.
+  config.shb_disk.read_seek_latency = usec(100);
+  config.shb_disk.sync_latency = msec(1);
+  config.broker.costs.catchup_admission_limit = admission_limit;
+  // Small istream cache (2 s < a 4 s down window) so the herd's catchup
+  // truly depends on pubend retention — a degraded log answers the tail of
+  // each stream with gap messages instead of a fat SHB cache hiding them.
+  config.broker.costs.cache_span_ticks = 2000;
+  // The paper's 380 ev/s catchup pacing would stretch a 40k-event herd over
+  // minutes; the herd measures admission/backoff dynamics, not recovery
+  // slope, so let the drain run at wire speed.
+  config.broker.costs.catchup_rate_limit_eps = 5000.0;
+  // Small segments so early release actually frees live bytes at a
+  // granularity retention watermarks can see.
+  config.storage.segment_bytes = 64 * 1024;
+  return config;
+}
+
+std::vector<core::DurableSubscriber*> start_herd_load(System& system, int subscribers) {
+  PaperWorkloadConfig wl;
+  wl.input_rate_eps = 200;
+  wl.groups = 100;
+  start_paper_publishers(system, wl);
+  auto subs = add_group_subscribers(system, 0, subscribers, wl.groups, /*first_id=*/1,
+                                    /*machines=*/10, /*ack_interval=*/sec(1));
+  system.run_for(sec(2));
+  return subs;
 }
 
 ChurnDriver::ChurnDriver(System& system, std::vector<core::DurableSubscriber*> subs,

@@ -5,7 +5,9 @@
 //   * one publisher per pubend at a fixed rate,
 //   * per-subscriber periodic disconnect/reconnect churn (Fig. 4-6),
 //   * a deterministic default of 4 pubends x 200 ev/s = 800 ev/s input and
-//     200 ev/s per subscriber (groups = 4).
+//     200 ev/s per subscriber (groups = 4),
+//   * the deployments more than one bench or test runs: Fig. 4's load, the
+//     §5.3 SHB crash, the chaos soak and the reconnect herd.
 #pragma once
 
 #include <string>
@@ -18,10 +20,15 @@
 
 namespace gryphon::harness {
 
+/// §5 defaults: RS/6000 F80-class brokers (6 cores), event logging at the
+/// PHB dominating end-to-end latency at ~44 ms, SSA-class SHB disks, 1 ms
+/// broker links, 4 pubends.
+[[nodiscard]] SystemConfig paper_config();
+
 struct PaperWorkloadConfig {
   double input_rate_eps = 800.0;  // aggregate over all pubends
   int groups = 4;                 // subscriber matches input_rate / groups
-  std::size_t payload_bytes = 250;
+  std::size_t payload_bytes = 250;  // 418 bytes with headers
 };
 
 /// Event factory: cycles the "g" attribute deterministically so every group
@@ -42,6 +49,43 @@ void start_paper_publishers(System& system, const PaperWorkloadConfig& config);
 std::vector<core::DurableSubscriber*> add_group_subscribers(
     System& system, int shb_index, int count, int groups, std::uint32_t first_id,
     int machines = 1, SimDuration ack_interval = msec(250));
+
+/// Fig. 4's load on a paper_config() System: the §5 publishers and `per_shb`
+/// subscribers on every SHB (the paper ran 100 steady and 88 under churn; 4
+/// groups over 5 client machines, ids 1000·(i+1)… on SHB i), then a 10 s
+/// warm-up. Returns the subscribers.
+std::vector<core::DurableSubscriber*> start_fig4_load(System& system, int per_shb);
+
+/// When the phases of the §5.3 crash experiment (Figs. 7 and 8) began.
+struct ShbCrashTimes {
+  SimTime crash_at = 0;
+  SimTime recovered_at = 0;
+  SimTime reconnect_at = 0;
+};
+
+/// Runs the §5.3 crash: 30 s of normal running, then SHB 0 is down for
+/// 25 s. `subs` are held off reconnecting until the restarted SHB's
+/// constream has re-nacked to within 1.5 s of real time (separating
+/// constream recovery from catchup); then they all reconnect at once.
+ShbCrashTimes run_shb_crash(System& system, const std::vector<core::DurableSubscriber*>& subs);
+
+/// The chaos-soak deployment: 2 pubends, PHB <- one intermediate <- 2 SHBs.
+[[nodiscard]] SystemConfig chaos_soak_config();
+
+/// The chaos soak's load on a System built from chaos_soak_config(): 300
+/// ev/s over both pubends and 4 group subscribers on each SHB, then a 3 s
+/// healthy warm-up before the first fault. Returns the 8 subscribers.
+std::vector<core::DurableSubscriber*> start_chaos_soak_load(System& system);
+
+/// The reconnect-herd deployment: one pubend, PHB <- one intermediate <-
+/// one SHB, sized so that a herd of thousands of catchup streams is limited
+/// by the SHB's `admission_limit`-wide admission gate, not by CPU or disk.
+[[nodiscard]] SystemConfig herd_config(std::size_t admission_limit);
+
+/// The herd's load on a System built from herd_config(): 200 ev/s in 100
+/// groups and `subscribers` durable subscribers on the SHB (10 client
+/// machines, acking every second), then a 2 s warm-up.
+std::vector<core::DurableSubscriber*> start_herd_load(System& system, int subscribers);
 
 /// Periodic churn (paper §5.1): each subscriber independently disconnects
 /// every `period`, stays down for `down_time`, then reconnects. Offsets are

@@ -30,9 +30,9 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Installs the transport every send/delivery is translated through. The
-  /// default (none installed) behaves like StructTransport. The transport
-  /// must outlive the network.
+  /// Installs the transport every send/delivery is translated through. With
+  /// none installed, messages travel as the structs themselves. The
+  /// transport must outlive the network.
   void set_transport(Transport* transport) { transport_ = transport; }
   [[nodiscard]] Transport* transport() const { return transport_; }
 

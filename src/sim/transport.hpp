@@ -4,10 +4,9 @@
 // through it exactly once each way: to_wire() inside send() — before
 // sim::LinkNetwork's bandwidth model prices it, or before
 // net::SocketNetwork writes the frame to the peer's socket — and
-// from_wire() inside deliver(), before the endpoint handler runs. The two
-// transports:
+// from_wire() inside deliver(), before the endpoint handler runs:
 //
-//  * StructTransport (default): pass-through. Messages travel as shared
+//  * No transport installed (the default): messages travel as shared
 //    in-memory structs — the simulation fast path.
 //  * wire::CodecTransport (src/wire/): every send is encoded into a
 //    versioned, CRC32C-framed byte frame (FrameMessage) and every receive is
@@ -32,7 +31,7 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Mode tag for reports and CLI flags ("struct", "codec").
+  /// Mode tag for reports ("codec").
   [[nodiscard]] virtual const char* name() const = 0;
 
   /// Translates a protocol message into what travels on the from->to link.
@@ -45,18 +44,6 @@ class Transport {
   /// counts a decode reject and drops the delivery.
   [[nodiscard]] virtual MessagePtr from_wire(EndpointId from, EndpointId to,
                                              MessagePtr msg) = 0;
-};
-
-/// Today's shared-pointer pass-through: the wire carries the struct itself.
-class StructTransport final : public Transport {
- public:
-  [[nodiscard]] const char* name() const override { return "struct"; }
-  [[nodiscard]] MessagePtr to_wire(EndpointId, EndpointId, MessagePtr msg) override {
-    return msg;
-  }
-  [[nodiscard]] MessagePtr from_wire(EndpointId, EndpointId, MessagePtr msg) override {
-    return msg;
-  }
 };
 
 }  // namespace gryphon::sim

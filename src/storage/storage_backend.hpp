@@ -11,7 +11,7 @@
 //    real runtime's FileDisk): segments are real "<prefix>-<seq>.wal" files
 //    held open for the backend's lifetime, written with pwrite and read
 //    with pread, so every byte genuinely round-trips through the OS. Used
-//    by bench_recovery_fuzz --wal-dir and by gryphon_broker.
+//    by `gryphon_bench recovery_fuzz --wal-dir` and by gryphon_broker.
 #pragma once
 
 #include <atomic>

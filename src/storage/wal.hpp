@@ -19,7 +19,7 @@
 //
 // clamped to [durable, submitted]: everything acked survives, nothing that
 // was never handed to the device survives, and the seeded entropy (chaos
-// schedules, bench_recovery_fuzz) picks how much of the in-flight barrier
+// schedules, the recovery_fuzz bench) picks how much of the in-flight barrier
 // made it — landing mid-frame exercises the torn-tail truncation rule.
 #pragma once
 

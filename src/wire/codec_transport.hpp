@@ -61,7 +61,7 @@ class CodecTransport final : public sim::Transport {
   [[nodiscard]] sim::MessagePtr from_wire(sim::EndpointId from, sim::EndpointId to,
                                           sim::MessagePtr msg) override;
 
-  /// Codec-tax accounting (bench_wallclock and the net.frames_* probes).
+  /// Codec-tax accounting (the wallclock bench and the net.frames_* probes).
   [[nodiscard]] std::uint64_t frames_encoded() const { return frames_encoded_; }
   [[nodiscard]] std::uint64_t frames_decoded() const { return frames_decoded_; }
   [[nodiscard]] std::uint64_t frames_rejected() const { return frames_rejected_; }

@@ -7,8 +7,8 @@
 #   sim-report GRYPHON_SIM GRYPHON_REPORT
 #       a --metrics-interval scrape through the report mode and a
 #       --trace-out export through --validate-trace
-#   chaos-trace BENCH_CHAOS_SOAK GRYPHON_REPORT
-#       a chaos soak's trace export must carry a fault track
+#   chaos-trace GRYPHON_BENCH GRYPHON_REPORT
+#       a chaos_soak trace export must carry a fault track
 #   sim-full-device GRYPHON_SIM
 #       a snapshot or a scrape that cannot be written exits 1
 #   broker-unwritable-file GRYPHON_BROKER
@@ -30,7 +30,7 @@ case $check in
     "$2" "$dir/s.ndjson" && "$2" --validate-trace "$dir/t.json"
     ;;
   chaos-trace)
-    "$1" 1 1 5 --trace-out="$dir/t.json" >/dev/null || exit 1
+    "$1" chaos_soak 1 1 5 --trace-out="$dir/t.json" >/dev/null || exit 1
     "$2" --validate-trace "$dir/t.json" --expect-fault-track
     ;;
   sim-full-device)

@@ -23,11 +23,10 @@ using harness::ChaosSchedule;
 using harness::System;
 using harness::SystemConfig;
 
-SystemConfig chaos_topology(int shbs = 2, int intermediates = 1) {
+/// PHB <- one SHB, 2 pubends.
+SystemConfig single_shb_topology() {
   SystemConfig config;
   config.num_pubends = 2;
-  config.num_shbs = shbs;
-  config.num_intermediates = intermediates;
   return config;
 }
 
@@ -43,17 +42,13 @@ struct ChaosOutcome {
   friend bool operator==(const ChaosOutcome&, const ChaosOutcome&) = default;
 };
 
-/// One full chaos run over a 5-broker topology (PHB - imb - 2 SHBs) with 8
-/// subscribers; returns the decoded timeline plus an end-state fingerprint.
+/// One full chaos run over the chaos-soak deployment (PHB - imb - 2 SHBs,
+/// 8 subscribers); returns the decoded timeline plus an end-state
+/// fingerprint.
 ChaosOutcome run_chaos(std::uint64_t seed, SimDuration horizon = sec(8),
                        SimDuration settle = sec(22)) {
-  System system(chaos_topology());
-  harness::PaperWorkloadConfig wl;
-  wl.input_rate_eps = 300;
-  harness::start_paper_publishers(system, wl);
-  auto subs0 = harness::add_group_subscribers(system, 0, 4, 4, 1);
-  auto subs1 = harness::add_group_subscribers(system, 1, 4, 4, 100);
-  system.run_for(sec(3));  // healthy warmup before the first fault
+  System system(harness::chaos_soak_config());
+  harness::start_chaos_soak_load(system);
 
   ChaosConfig config;
   config.seed = seed;
@@ -83,8 +78,8 @@ TEST(Chaos, SameSeedReplaysByteIdentical) {
 }
 
 TEST(Chaos, DistinctSeedsDrawDistinctSchedules) {
-  System system_a(chaos_topology());
-  System system_b(chaos_topology());
+  System system_a(harness::chaos_soak_config());
+  System system_b(harness::chaos_soak_config());
   ChaosConfig config;
   config.seed = 7;
   ChaosSchedule a(system_a, config);
@@ -150,7 +145,7 @@ TEST(Chaos, ShbCrashLandingInsideRecovery) {
   // PFS metadata rebuild, log-volume scan) is in flight when the second
   // crash drops every completion. The third incarnation must still recover
   // to a consistent state and serve everything exactly once.
-  System system(chaos_topology(/*shbs=*/1, /*intermediates=*/0));
+  System system(single_shb_topology());
   system.enable_invariants();
   harness::PaperWorkloadConfig wl;
   wl.input_rate_eps = 200;
@@ -250,7 +245,7 @@ TEST(Chaos, TornSyncUnderLoadIsRecovered) {
   // drop_unsynced() loses in-flight write barriers on a live SHB; the
   // LogVolume/Database torn-sync handlers must re-issue them so progress
   // commits and PFS records still become durable.
-  System system(chaos_topology(/*shbs=*/1, /*intermediates=*/0));
+  System system(single_shb_topology());
   system.enable_invariants();
   harness::PaperWorkloadConfig wl;
   wl.input_rate_eps = 200;
@@ -282,13 +277,8 @@ TEST(Chaos, TornSyncUnderLoadIsRecovered) {
 /// at the same instant with its own WAL tear, restarts stagger root-first,
 /// and the cluster still settles back to exactly-once quiescence.
 ChaosOutcome run_power_loss(std::uint64_t seed) {
-  System system(chaos_topology());
-  harness::PaperWorkloadConfig wl;
-  wl.input_rate_eps = 300;
-  harness::start_paper_publishers(system, wl);
-  harness::add_group_subscribers(system, 0, 4, 4, 1);
-  harness::add_group_subscribers(system, 1, 4, 4, 100);
-  system.run_for(sec(3));
+  System system(harness::chaos_soak_config());
+  harness::start_chaos_soak_load(system);
 
   ChaosConfig config;
   config.seed = seed;
@@ -327,16 +317,11 @@ TEST(Chaos, PowerLossCrashesEveryBrokerAndStillQuiesces) {
 /// the broker restarts (they live at the Network), and the cluster still
 /// settles to exactly-once quiescence.
 TEST(Chaos, PowerLossWithFrameCorruptionRejectsEveryMangledFrame) {
-  SystemConfig sc = chaos_topology();
+  SystemConfig sc = harness::chaos_soak_config();
   sc.wire = harness::WireMode::kCodec;
   sc.wire_verify_every = 1;
   System system(sc);
-  harness::PaperWorkloadConfig wl;
-  wl.input_rate_eps = 300;
-  harness::start_paper_publishers(system, wl);
-  harness::add_group_subscribers(system, 0, 4, 4, 1);
-  harness::add_group_subscribers(system, 1, 4, 4, 100);
-  system.run_for(sec(3));
+  harness::start_chaos_soak_load(system);
 
   ChaosConfig config;
   config.seed = 11;
@@ -367,13 +352,8 @@ TEST(Chaos, PowerLossWithFrameCorruptionRejectsEveryMangledFrame) {
 /// every reconnecting durable subscriber walk their back-pointer chains
 /// through exactly that faulty IO window, and exactly-once must hold.
 ChaosOutcome run_catchup_read_fault(std::uint64_t seed, std::uint64_t* faults_fired) {
-  System system(chaos_topology());
-  harness::PaperWorkloadConfig wl;
-  wl.input_rate_eps = 300;
-  harness::start_paper_publishers(system, wl);
-  harness::add_group_subscribers(system, 0, 4, 4, 1);
-  harness::add_group_subscribers(system, 1, 4, 4, 100);
-  system.run_for(sec(3));
+  System system(harness::chaos_soak_config());
+  harness::start_chaos_soak_load(system);
 
   ChaosConfig config;
   config.seed = seed;

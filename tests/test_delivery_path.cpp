@@ -61,7 +61,7 @@ TEST_P(RecoverOrder, ReannouncesByShardThenId) {
   const std::size_t shards = GetParam();
   SystemConfig config;
   config.num_pubends = 2;
-  config.pfs_shards = static_cast<int>(shards);
+  config.broker.pfs_shards = static_cast<int>(shards);
   System system(config);
   harness::PaperWorkloadConfig wl;
   wl.input_rate_eps = 100;

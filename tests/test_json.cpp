@@ -207,7 +207,7 @@ TEST(BenchArtifacts, EveryCommittedFileParses) {
   }
 }
 
-// The rates bench_wallclock --check gates on, as the line scanner it used
+// The rates `gryphon_bench wallclock --check` gates on, as the line scanner it used
 // before the reader existed returned them from the committed file.
 TEST(BenchArtifacts, SubstrateRatesMatchTheCommittedValues) {
   std::string text;

@@ -439,8 +439,9 @@ TEST(TraceExporter, OutputIsDeterministic) {
 
 // ----------------------------------------------------------- golden bytes
 //
-// Exact serializer output. bench_scale_1m's parity digest hashes the pretty
-// metrics bytes and scripts grep these layouts, so any byte drift is a bug.
+// Exact serializer output. The scale_1m bench's parity digest hashes the
+// pretty metrics bytes and scripts grep these layouts, so any byte drift is
+// a bug.
 
 std::string without_newlines(std::string s) {
   s.erase(std::remove(s.begin(), s.end(), '\n'), s.end());

@@ -291,7 +291,7 @@ TEST_P(CountedIndexSweep, ReleasedAndTrimIndexesMatchBruteForce) {
   Rng rng(seed);
   SystemConfig config;
   config.num_pubends = 2;
-  config.pfs_shards = shards;
+  config.broker.pfs_shards = shards;
   config.broker.costs.catchup_admission_limit = 2;     // the queue engages
   config.broker.costs.catchup_rate_limit_eps = 100.0;  // catchups stay open
   config.broker.costs.cache_span_ticks = 1000;         // trims during catchup

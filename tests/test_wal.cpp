@@ -1,7 +1,7 @@
 // Byte-level persistence engine tests: CRC32C, frame/segment wire format,
 // Wal watermarks + torn-tail truncation, LogVolume/Database recovery from
 // bytes, FileBackend round-trips, and a System-level crash-point smoke —
-// the tier-1 face of bench_recovery_fuzz.
+// the tier-1 face of `gryphon_bench recovery_fuzz`.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -288,7 +288,7 @@ TEST(Wal, RollsSegmentsAndGcDropsChoppedHeads) {
 }
 
 TEST(Wal, EveryCrashPointYieldsAValidReplayablePrefix) {
-  // The Wal-level core of bench_recovery_fuzz: for EVERY byte offset in the
+  // The Wal-level core of the recovery_fuzz bench: for EVERY byte offset in the
   // in-flight region, recovery must yield a clean prefix of the appended
   // records — never a gap, never trailing garbage, never a throw.
   const std::vector<std::string> records = {"alpha", "bravo", "charlie", "delta",
@@ -645,7 +645,7 @@ namespace gryphon {
 namespace {
 
 TEST(SystemRecoveryFuzzSmoke, SeededCrashPointsKeepExactlyOnce) {
-  // Miniature bench_recovery_fuzz: a handful of seeded crash points through
+  // Miniature recovery_fuzz bench: a handful of seeded crash points through
   // the full broker stack, each recovering PHB or SHB state from WAL bytes,
   // all verified by the delivery oracle. Deterministic; tier-1 fast.
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {

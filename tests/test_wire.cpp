@@ -709,19 +709,11 @@ TEST(WireSystem, StructAndCodecRunsAreScheduleIdenticalOnTheSameSeed) {
 }
 
 void run_frame_corruption_chaos(harness::WireMode wire) {
-  harness::SystemConfig sc;
-  sc.num_pubends = 2;
-  sc.num_intermediates = 1;
-  sc.num_shbs = 2;
+  harness::SystemConfig sc = harness::chaos_soak_config();
   sc.wire = wire;
   sc.wire_verify_every = 1;  // tests always run the canonical check
   harness::System system(sc);
-  harness::PaperWorkloadConfig wl;
-  wl.input_rate_eps = 300;
-  harness::start_paper_publishers(system, wl);
-  harness::add_group_subscribers(system, 0, 4, 4, 1);
-  harness::add_group_subscribers(system, 1, 4, 4, 100);
-  system.run_for(sec(3));
+  harness::start_chaos_soak_load(system);
 
   harness::ChaosConfig config;
   config.seed = 7;

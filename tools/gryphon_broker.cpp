@@ -3,15 +3,15 @@
 //
 // A topology is a set of these processes wired parent-to-child:
 //
-//   gryphon_broker --role phb --name phb --listen 7700 --children 2 \
+//   gryphon_broker --role phb --name phb --listen 7700 --children 2
 //       --wal-dir /tmp/demo/phb &
-//   gryphon_broker --role imb --name imb0 --listen 7701 --children 2 \
+//   gryphon_broker --role imb --name imb0 --listen 7701 --children 2
 //       --parent 127.0.0.1:7700 --wal-dir /tmp/demo/imb0 &
-//   gryphon_broker --role shb --name shb0 --listen 7710 \
+//   gryphon_broker --role shb --name shb0 --listen 7710
 //       --parent 127.0.0.1:7701 --wal-dir /tmp/demo/shb0 &
-//   gryphon_broker --role pub --name pub1 --client-id 1 \
+//   gryphon_broker --role pub --name pub1 --client-id 1
 //       --parent 127.0.0.1:7700 --events 2000 &
-//   gryphon_broker --role sub --name sub1 --client-id 1 \
+//   gryphon_broker --role sub --name sub1 --client-id 1
 //       --parent 127.0.0.1:7710 --expect 8000 --result-file sub1.json
 //
 // Brokers run until SIGTERM (graceful: write the result file and exit 0) or

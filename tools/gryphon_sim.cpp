@@ -5,8 +5,8 @@
 // contract, and prints a run report. Useful for exploring configurations
 // beyond the canned benchmarks.
 //
-//   gryphon_sim --shbs 2 --subscribers 40 --rate 800 --duration 60 \
-//               --churn-period 30 --churn-down 2 \
+//   gryphon_sim --shbs 2 --subscribers 40 --rate 800 --duration 60
+//               --churn-period 30 --churn-down 2
 //               --crash-shb-at 20 --crash-down 5 --max-retain 10
 //
 // Run with --help for the full flag list.

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Chaos soak under ASan+UBSan: builds the sanitizer preset and runs N seeded
 # fault schedules plus the chaos, delivery-path, storage, WAL, socket,
-# durability and wire test suites and a bench_sockets smoke of the real runtime, then runs the socket and
-# power-loss durability suites again under ThreadSanitizer (the real
-# runtime's syncer threads). Any invariant violation prints the offending
+# durability and wire test suites and a `gryphon_bench sockets` smoke of the
+# real runtime, then runs the socket and power-loss durability suites again
+# under ThreadSanitizer (the real runtime's syncer threads). Any invariant violation prints the offending
 # seed and its decoded fault timeline; rerun with
-#   bench_chaos_soak 1 <seed>
+#   gryphon_bench chaos_soak 1 <seed>
 # (or ChaosConfig{.seed = <seed>} in a test) to replay it exactly.
 #
 # Usage: tools/run_chaos.sh [num_seeds] [first_seed] [horizon_s]
@@ -17,7 +17,7 @@ FIRST_SEED="${2:-1}"
 HORIZON_S="${3:-10}"
 
 cmake --preset asan-ubsan
-cmake --build --preset asan-ubsan -j "$(nproc)" --target test_chaos test_delivery_path test_net test_durability test_wire test_storage test_wal gryphon_broker_cli bench_chaos_soak bench_wallclock bench_recovery_fuzz bench_churn_storm bench_scale_1m bench_sockets gryphon_report
+cmake --build --preset asan-ubsan -j "$(nproc)" --target test_chaos test_delivery_path test_net test_durability test_wire test_storage test_wal gryphon_broker_cli gryphon_bench gryphon_report
 
 echo "== chaos test suite (asan-ubsan) =="
 ./build-asan/tests/test_chaos
@@ -42,13 +42,13 @@ GRYPHON_BROKER_BIN=./build-asan/tools/gryphon_broker ./build-asan/tests/test_net
 ./build-asan/tests/test_durability
 ./build-asan/tests/test_wire
 
-echo "== real-runtime smoke (asan-ubsan): bench_sockets, exactly-once only =="
+echo "== real-runtime smoke (asan-ubsan): sockets, exactly-once only =="
 # PHB, SHB, publisher and subscriber over loopback TCP under a paced load:
 # frames written inside send(), decoded and handled inside the read
 # callback, client handlers run inline. Exits non-zero unless every event
 # arrives exactly once; the latency gate (--check) is left to
 # tools/run_bench.sh, since sanitizers slow the loop.
-./build-asan/bench/bench_sockets --smoke
+./build-asan/bench/gryphon_bench sockets --smoke
 
 echo "== socket and durability suites (tsan) =="
 # The first second thread in a broker process: each node's fdatasync syncer
@@ -59,18 +59,18 @@ cmake --build --preset tsan -j "$(nproc)" --target test_net test_durability gryp
 GRYPHON_BROKER_BIN=./build-tsan/tools/gryphon_broker ./build-tsan/tests/test_net
 ./build-tsan/tests/test_durability
 
-echo "== substrate smoke (asan-ubsan): bench_wallclock 1 seed =="
-./build-asan/bench/bench_wallclock --smoke
+echo "== substrate smoke (asan-ubsan): wallclock 1 seed =="
+./build-asan/bench/gryphon_bench wallclock --smoke
 
 echo "== recovery fuzz smoke (asan-ubsan): seeded crash points =="
-./build-asan/bench/bench_recovery_fuzz --smoke
+./build-asan/bench/gryphon_bench recovery_fuzz --smoke
 
 echo "== churn storm smoke (asan-ubsan): reconnect herd under admission control =="
-./build-asan/bench/bench_churn_storm --smoke
+./build-asan/bench/gryphon_bench churn_storm --smoke
 
 echo "== scale smoke (asan-ubsan): covering index + sharded PFS gates =="
 SCALE_SMOKE_JSON="$(mktemp)"
-./build-asan/bench/bench_scale_1m --smoke --out "${SCALE_SMOKE_JSON}"
+./build-asan/bench/gryphon_bench scale_1m --smoke --out "${SCALE_SMOKE_JSON}"
 rm -f "${SCALE_SMOKE_JSON}"
 
 echo "== flight recorder negative test: injected violation must dump =="
@@ -79,7 +79,7 @@ echo "== flight recorder negative test: injected violation must dump =="
 # offending (pubend, tick). A "passing" injected run means the recorder is
 # broken, so this asserts the failure.
 INJECT_LOG="$(mktemp)"
-if ./build-asan/bench/bench_chaos_soak 1 "${FIRST_SEED}" 5 --inject-violation \
+if ./build-asan/bench/gryphon_bench chaos_soak 1 "${FIRST_SEED}" 5 --inject-violation \
     >"${INJECT_LOG}" 2>&1; then
   echo "ERROR: injected violation did not fail the run" >&2
   cat "${INJECT_LOG}" >&2
@@ -104,14 +104,14 @@ echo "== chaos trace export: fault windows on a Perfetto-loadable track =="
 # well-formed JSON, monotonically non-decreasing timestamps, and at least one
 # chaos fault window on the dedicated "faults" track.
 CHAOS_TRACE="$(mktemp --suffix=.trace.json)"
-./build-asan/bench/bench_chaos_soak 1 "${FIRST_SEED}" 5 \
+./build-asan/bench/gryphon_bench chaos_soak 1 "${FIRST_SEED}" 5 \
     --trace-out="${CHAOS_TRACE}"
 ./build-asan/tools/gryphon_report --validate-trace "${CHAOS_TRACE}" \
     --expect-fault-track
 rm -f "${CHAOS_TRACE}"
 
 echo "== chaos soak: ${NUM_SEEDS} seeds from ${FIRST_SEED}, ${HORIZON_S}s horizon =="
-./build-asan/bench/bench_chaos_soak "${NUM_SEEDS}" "${FIRST_SEED}" "${HORIZON_S}"
+./build-asan/bench/gryphon_bench chaos_soak "${NUM_SEEDS}" "${FIRST_SEED}" "${HORIZON_S}"
 
 echo "== codec chaos soak: byte transport + seeded frame corruption =="
 # Same fault schedules, but every link runs through the wire codec (encode on
@@ -121,5 +121,5 @@ echo "== codec chaos soak: byte transport + seeded frame corruption =="
 # past a truncated buffer. --wire-verify=always disables the 1-in-N sampling
 # of the canonical re-encode check so every accepted decode is round-trip
 # verified while the sanitizers watch.
-./build-asan/bench/bench_chaos_soak "${NUM_SEEDS}" "${FIRST_SEED}" "${HORIZON_S}" \
+./build-asan/bench/gryphon_bench chaos_soak "${NUM_SEEDS}" "${FIRST_SEED}" "${HORIZON_S}" \
     --wire=codec --frame-faults --wire-verify=always

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Crash-point recovery fuzz gate: builds the Release preset and runs
-# bench_recovery_fuzz — seeded broker crashes whose WAL tails are torn at
+# `gryphon_bench recovery_fuzz` — seeded broker crashes whose WAL tails are torn at
 # seeded byte offsets, each followed by a recovery-from-bytes and an
 # exactly-once verification against the DeliveryOracle.
 #
@@ -16,7 +16,7 @@
 # and when the codec leg never rejected a corrupted frame.
 # Pass --wal-dir to run every WAL on real files (FileBackend) instead of the
 # default in-memory backend. Rerun one violating seed exactly with
-#   bench_recovery_fuzz 1 <seed>
+#   gryphon_bench recovery_fuzz 1 <seed>
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,9 +26,9 @@ shift $(( $# > 2 ? 2 : $# )) || true
 EXTRA_ARGS=("$@")
 
 cmake --preset release
-cmake --build --preset release -j "$(nproc)" --target bench_recovery_fuzz
+cmake --build --preset release -j "$(nproc)" --target gryphon_bench
 
-./build-release/bench/bench_recovery_fuzz "${NUM_SEEDS}" "${FIRST_SEED}" \
+./build-release/bench/gryphon_bench recovery_fuzz "${NUM_SEEDS}" "${FIRST_SEED}" \
   --out BENCH_recovery_fuzz.json "${EXTRA_ARGS[@]+"${EXTRA_ARGS[@]}"}"
 
 echo "ok: ${NUM_SEEDS} seeds survived; snapshot in BENCH_recovery_fuzz.json"
