@@ -75,16 +75,8 @@ int gryphon::bench::run_chaos_soak(Args& args) {
     harness::System system(sc);
     const auto subs = harness::start_chaos_soak_load(system);
 
-    // Subscriber churn rides along under the faults; stop disconnecting
-    // once the last fault is repaired so quiescence is reachable.
-    harness::ChurnDriver churn(system, subs, sec(6), sec(2));
-
-    harness::ChaosConfig config;
-    config.seed = seed;
-    config.horizon = static_cast<SimDuration>(horizon_s * 1e6);
-    if (frame_faults) config.weights.frame_corrupt = 3;
-    harness::ChaosSchedule chaos(system, config);
-    system.simulator().schedule_at(chaos.repaired_at(), [&churn] { churn.stop(); });
+    harness::ChaosSoakPhase phase(system, subs, seed, horizon_s, frame_faults);
+    harness::ChaosSchedule& chaos = phase.chaos();
 
     if (inject_violation) {
       // Fabricate an exactly-once violation once the faults are repaired:

@@ -108,14 +108,8 @@ Measurement run_chaos_seed(std::uint64_t seed, double horizon_s) {
   harness::System system(harness::chaos_soak_config());
   const auto subs = harness::start_chaos_soak_load(system);
 
-  harness::ChurnDriver churn(system, subs, sec(6), sec(2));
-  harness::ChaosConfig config;
-  config.seed = seed;
-  config.horizon = static_cast<SimDuration>(horizon_s * 1e6);
-  harness::ChaosSchedule chaos(system, config);
-  system.simulator().schedule_at(chaos.repaired_at(), [&churn] { churn.stop(); });
-
-  auto m = measure(system, [&] { chaos.run(); });
+  harness::ChaosSoakPhase phase(system, subs, seed, horizon_s);
+  auto m = measure(system, [&] { phase.chaos().run(); });
   m.latency = latency_percentile_metrics(system.latency());
   return m;
 }

@@ -10,6 +10,12 @@
 //     delivered or covered by an explicit gap notification (early release)
 //     or predates the subscription.
 //
+// It stores what each (subscriber, pubend) stream is still owed, not what
+// was delivered: a publish ack appends the tick to every matching stream
+// (matched once, through an oracle-owned SubscriptionIndex) and a delivery
+// pops it, so memory and verification are O(outstanding matches). A sampled
+// brute-force scan keeps the oracle independent of that index.
+//
 // Doubles as the metrics sink: end-to-end latency summary, aggregate and
 // per-machine delivery rate meters (the paper's client machines), and gap /
 // catchup counters.
@@ -26,8 +32,10 @@
 #include "sim/simulator.hpp"
 #include "core/subscriber_client.hpp"
 #include "matching/predicate.hpp"
+#include "matching/subscription_index.hpp"
+#include "util/interval_set.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/tick_set.hpp"
 
 namespace gryphon::harness {
 
@@ -88,6 +96,13 @@ class DeliveryOracle final : public core::SubscriberObserver,
   }
   [[nodiscard]] std::uint64_t gap_count() const { return gap_count_; }
 
+  /// Predicates evaluated by the oracle itself (rare paths and the index
+  /// cross-check; not the index's own). Verification evaluates none.
+  [[nodiscard]] std::uint64_t predicate_evaluations() const { return predicate_evals_; }
+  /// Published events whose index-matched subscriber set was compared with
+  /// a scan of every registered predicate.
+  [[nodiscard]] std::uint64_t index_cross_checks() const { return cross_checks_; }
+
   /// Published events of one pubend (tick -> event), for custom assertions.
   [[nodiscard]] const std::map<Tick, matching::EventDataPtr>& published(PubendId p) const;
 
@@ -106,9 +121,16 @@ class DeliveryOracle final : public core::SubscriberObserver,
   [[nodiscard]] const LastViolation& last_violation() const { return last_violation_; }
 
  private:
-  /// One (subscriber, pubend) stream's history.
+  /// One (subscriber, pubend) stream. Its expected ticks are the matching
+  /// published ones (above start_ct once connected); each is owed, delivered
+  /// or gapped, and only the owed ones are stored. An expected tick at or
+  /// below `delivered_max` that is neither owed nor gapped was delivered.
   struct StreamState {
-    TickSet delivered;
+    std::vector<Tick> owed;  // owed ticks above delivered_max, ascending from head
+    std::size_t head = 0;
+    IntervalSet passed;  // owed ticks the client moved past (single ticks)
+    IntervalSet extra;   // delivered ticks that were never owed (single ticks)
+    Tick delivered_max = kTickZero;
     IntervalSet gaps;
     /// Highest live (non-catchup) delivery: the constream position. Gap
     /// notifications must never open at or behind it.
@@ -130,25 +152,48 @@ class DeliveryOracle final : public core::SubscriberObserver,
 
   /// s's stream for p, created on first use.
   static StreamState& stream(SubState& s, PubendId p);
-  /// s's stream for p, or nullptr when it has never been touched.
-  static const StreamState* find_stream(const SubState& s, PubendId p);
   SubState& sub_state(SubscriberId s);
+  /// Moves st's owed head, dropping the popped prefix once it is half.
+  static void set_head(StreamState& st, std::size_t head);
+  /// Records a delivery of t that is not the owed head.
+  void deliver_rare(SubscriberId s, SubState& state, StreamState& st, PubendId p, Tick t,
+                    const matching::EventData& event);
+  /// Whether t on p was delivered to s (and not forgotten since).
+  [[nodiscard]] bool delivered(const SubState& s, const StreamState& st, PubendId p,
+                               Tick t) const;
+  /// Owes st every matching published tick of p above `above`.
+  void owe_published_above(const SubState& s, StreamState& st, PubendId p, Tick above);
+  /// Compares index_'s match for one event with a scan of every predicate.
+  void cross_check(PubendId p, Tick t, const matching::EventData& event);
 
-  /// Checks one (subscriber, pubend) stream over (lo, hi]: every matching
-  /// published event delivered or gapped, every delivered tick published.
+  /// Checks one stream: every owed tick in (lo, hi] is a miss, and every
+  /// delivery in (lo, hi] (anywhere, with `all_deliveries`) must be known.
   void verify_stream(SubscriberId s, const SubState& state, PubendId p,
                      const std::map<Tick, matching::EventDataPtr>& events, Tick lo,
-                     Tick hi, std::vector<std::string>& out) const;
+                     Tick hi, bool all_deliveries, std::vector<std::string>& out) const;
 
   /// Records the violation identity (mutable: verification is const).
   void note_violation(SubscriberId s, PubendId p, Tick t, std::string what) const;
 
+  /// One published event in 256 is cross-checked (a fixed, seeded draw):
+  /// sparse enough for 5,000 predicates per checked event.
+  static constexpr std::uint64_t kCrossCheckEvery = 256;
+
   sim::Simulator& sim_;
   std::map<PubendId, std::map<Tick, matching::EventDataPtr>> published_;
-  /// Publish call times, indexed by pubend id (grown on first use).
-  std::vector<std::unordered_map<Tick, SimTime>> publish_times_;
+  /// (tick, publish() call time), ascending, indexed by pubend id.
+  std::vector<std::vector<std::pair<Tick, SimTime>>> publish_times_;
   std::unordered_map<SubscriberId, SubState> subs_;
   std::vector<SubscriberId> sub_order_;  // registered ids, ascending
+  std::vector<SubState*> slots_;         // registered subscribers by dense slot
+  /// Slots by distinct predicate text; index_ holds each group's predicate
+  /// once, with the group's position as its id (a member per subscriber
+  /// would cost a 5,000-subscriber herd 0.3 MiB of index).
+  std::unordered_map<std::string, std::uint32_t> group_of_;
+  std::vector<std::vector<std::uint32_t>> groups_;
+  matching::SubscriptionIndex index_;
+  std::vector<SubscriberId> matched_;  // index_ match scratch: group ids
+  Rng cross_check_rng_{0x6f7261636c65ULL};
   std::map<int, RateMeter> machine_rates_;  // node-stable: SubState caches pointers
 
   Summary e2e_latency_;      // publish() call -> non-catchup client delivery
@@ -158,6 +203,8 @@ class DeliveryOracle final : public core::SubscriberObserver,
   std::uint64_t delivered_count_ = 0;
   std::uint64_t catchup_delivered_count_ = 0;
   std::uint64_t gap_count_ = 0;
+  mutable std::uint64_t predicate_evals_ = 0;
+  std::uint64_t cross_checks_ = 0;
   mutable LastViolation last_violation_;
 };
 

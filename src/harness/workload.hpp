@@ -15,6 +15,7 @@
 
 #include "core/publisher_client.hpp"
 #include "core/subscriber_client.hpp"
+#include "harness/chaos.hpp"
 #include "harness/system.hpp"
 #include "util/rng.hpp"
 
@@ -110,6 +111,28 @@ class ChurnDriver {
   SimDuration down_time_;
   bool stopped_ = false;
   std::uint64_t disconnects_ = 0;
+};
+
+/// The chaos soak's fault phase over start_chaos_soak_load()'s subscribers:
+/// each churns (down 2 s every 6 s) under the seeded ChaosSchedule of
+/// `seed` (faults within `horizon_s`), and the churn stops once the last
+/// fault is repaired so quiescence is reachable. `frame_faults` also arms
+/// seeded frame-corruption windows (codec wire).
+class ChaosSoakPhase {
+ public:
+  ChaosSoakPhase(System& system, std::vector<core::DurableSubscriber*> subs,
+                 std::uint64_t seed, double horizon_s, bool frame_faults = false)
+      : churn_(system, std::move(subs), sec(6), sec(2)),
+        chaos_(system, {.seed = seed,
+                        .horizon = static_cast<SimDuration>(horizon_s * 1e6),
+                        .weights = {.frame_corrupt = frame_faults ? 3 : 0}}) {
+    system.simulator().schedule_at(chaos_.repaired_at(), [this] { churn_.stop(); });
+  }
+  [[nodiscard]] ChaosSchedule& chaos() { return chaos_; }
+
+ private:
+  ChurnDriver churn_;
+  ChaosSchedule chaos_;
 };
 
 /// Churn storms: seeded waves that drop a large fraction of the subscriber

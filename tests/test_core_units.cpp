@@ -210,7 +210,9 @@ TEST_F(PubendFixture, AnnouncesDataWithSilenceFill) {
   EXPECT_EQ(region.to, a.tick);
   EXPECT_EQ(pe.head(), a.tick);
   EXPECT_EQ(pe.ticks().value_at(a.tick), routing::TickValue::kD);
-  if (a.tick > 1) EXPECT_EQ(pe.ticks().value_at(a.tick - 1), routing::TickValue::kS);
+  if (a.tick > 1) {
+    EXPECT_EQ(pe.ticks().value_at(a.tick - 1), routing::TickValue::kS);
+  }
 }
 
 TEST_F(PubendFixture, SilenceStopsAtPendingUnloggedEvent) {

@@ -26,7 +26,7 @@ TEST(SystemHarness, CrashGuards) {
   system.crash_shb(0);
   EXPECT_FALSE(system.shb_alive(0));
   EXPECT_THROW(system.crash_shb(0), InvariantViolation);  // already down
-  EXPECT_THROW(system.shb(0), InvariantViolation);        // no live broker
+  EXPECT_THROW(static_cast<void>(system.shb(0)), InvariantViolation);  // no live broker
   system.restart_shb(0);
   EXPECT_TRUE(system.shb_alive(0));
   EXPECT_THROW(system.restart_shb(0), InvariantViolation);  // not crashed

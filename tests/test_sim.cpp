@@ -123,7 +123,9 @@ TEST(Simulator, SlabReuseStressMillionOps) {
       const TaskId id = sim.schedule_at(t, [&, t, my_stamp] {
         ASSERT_EQ(sim.now(), t);
         ASSERT_GE(t, last_time);
-        if (t == last_time) ASSERT_GT(my_stamp, last_stamp);
+        if (t == last_time) {
+          ASSERT_GT(my_stamp, last_stamp);
+        }
         last_time = t;
         last_stamp = my_stamp;
         ++executed;

@@ -275,8 +275,8 @@ TEST(Histogram, PercentileEdgesAndClamping) {
   EXPECT_DOUBLE_EQ(clamped.percentile(0), 1.0);
   EXPECT_GE(clamped.percentile(100), 100.0);
 
-  EXPECT_THROW(h.percentile(-0.5), InvariantViolation);
-  EXPECT_THROW(h.percentile(100.5), InvariantViolation);
+  EXPECT_THROW(static_cast<void>(h.percentile(-0.5)), InvariantViolation);
+  EXPECT_THROW(static_cast<void>(h.percentile(100.5)), InvariantViolation);
 }
 
 // ------------------------------------------------------------------- rng

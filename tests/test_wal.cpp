@@ -331,7 +331,9 @@ TEST(Wal, EveryCrashPointYieldsAValidReplayablePrefix) {
     }
     // Recovery rebases offsets: everything scanned back in is durable.
     EXPECT_EQ(wal.tail_offset(), wal.durable_offset());
-    if (stats.truncated_bytes > 0) EXPECT_TRUE(stats.corruption.valid);
+    if (stats.truncated_bytes > 0) {
+      EXPECT_TRUE(stats.corruption.valid);
+    }
     // Appending after recovery continues cleanly.
     wal.append(wire::FrameKind::kAppend, 0, appends + 1, span_of("after"));
   }

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Chaos soak under ASan+UBSan: builds the sanitizer preset and runs N seeded
-# fault schedules plus the chaos, delivery-path, storage, WAL, socket,
-# durability and wire test suites and a `gryphon_bench sockets` smoke of the
-# real runtime, then runs the socket and power-loss durability suites again
-# under ThreadSanitizer (the real runtime's syncer threads). Any invariant violation prints the offending
+# Chaos soak under ASan+UBSan: first builds the tier-1 configuration with
+# warnings as errors, then builds the sanitizer preset and runs N seeded
+# fault schedules plus the chaos, delivery-path, oracle, storage, WAL,
+# socket, durability and wire test suites and a `gryphon_bench sockets`
+# smoke of the real runtime, then runs the socket and power-loss durability
+# suites again under ThreadSanitizer (the real runtime's syncer threads).
+# Any invariant violation prints the offending
 # seed and its decoded fault timeline; rerun with
 #   gryphon_bench chaos_soak 1 <seed>
 # (or ChaosConfig{.seed = <seed>} in a test) to replay it exactly.
@@ -16,8 +18,13 @@ NUM_SEEDS="${1:-10}"
 FIRST_SEED="${2:-1}"
 HORIZON_S="${3:-10}"
 
+echo "== tier-1 build with warnings as errors =="
+# The RelWithDebInfo build tier-1 runs, with -Werror: a new warning fails here.
+cmake --preset werror
+cmake --build --preset werror -j "$(nproc)"
+
 cmake --preset asan-ubsan
-cmake --build --preset asan-ubsan -j "$(nproc)" --target test_chaos test_delivery_path test_net test_durability test_wire test_storage test_wal gryphon_broker_cli gryphon_bench gryphon_report
+cmake --build --preset asan-ubsan -j "$(nproc)" --target test_chaos test_delivery_path test_determinism_and_oracle test_net test_durability test_wire test_storage test_wal gryphon_broker_cli gryphon_bench gryphon_report
 
 echo "== chaos test suite (asan-ubsan) =="
 ./build-asan/tests/test_chaos
@@ -28,6 +35,12 @@ echo "== delivery-path suite (asan-ubsan) =="
 # table's captured Link pointers, the oracle's streams, and the Logger clock
 # a destroyed System must not leave behind.
 ./build-asan/tests/test_delivery_path
+
+echo "== oracle suite (asan-ubsan) =="
+# The oracle's owed sequences: head cursors, compaction, CT rewinds that
+# truncate and re-derive a stream's suffix, and the gap and early-delivery
+# side runs are all index arithmetic over vectors.
+./build-asan/tests/test_determinism_and_oracle
 
 echo "== storage and WAL suites (asan-ubsan) =="
 # LogVolume::read returns a view into a MemoryBackend segment vector that a
