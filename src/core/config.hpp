@@ -8,6 +8,7 @@
 
 #include <cstddef>
 
+#include "util/backoff.hpp"
 #include "util/time.hpp"
 
 namespace gryphon::core {
@@ -42,18 +43,12 @@ struct CostModel {
   SimDuration silence_interval = msec(100);
   /// Curiosity: how long a Q gap may stall the doubt horizon before nacking.
   SimDuration nack_timeout = msec(100);
-  /// Re-nack outstanding ranges that received no response: base delay of the
-  /// per-stream retry backoff (retry k waits min(nack_retry *
-  /// nack_retry_multiplier^k, nack_retry_max), scaled by a deterministic
-  /// jitter factor in [1 - nack_retry_jitter, 1 + nack_retry_jitter) hashed
-  /// from (broker, stream, attempt) — no shared RNG, so retry timing is
-  /// replayable). Any response progress resets k to 0, so a live-but-slow
-  /// upstream sees the base period while a severed one is probed ever more
-  /// gently up to the cap.
-  SimDuration nack_retry = msec(1000);
-  SimDuration nack_retry_max = sec(4);
-  double nack_retry_multiplier = 2.0;
-  double nack_retry_jitter = 0.2;
+  /// Re-nack outstanding ranges that received no response: the per-stream
+  /// retry backoff, jitter hashed from (broker, stream, attempt). Any
+  /// response progress resets the attempt to 0, so a live-but-slow upstream
+  /// sees the base period while a severed one is probed ever more gently up
+  /// to the cap. An intermediate re-sends its consolidated nacks every base.
+  Backoff nack_retry{msec(1000), sec(4)};
   /// Brokers push (released, latestDelivered) mins upstream at this period.
   SimDuration release_update_interval = msec(250);
   /// SHB commits dirty released(s,p) / latestDelivered(p) rows (paper: 250ms).
@@ -108,19 +103,6 @@ struct CostModel {
   // Per-message envelope bytes are NOT configurable: the envelope is the
   // wire frame header, core::kEnvelopeBytes (messages.hpp), static-asserted
   // against wire::kFrameHeaderBytes.
-};
-
-/// Client reconnect backoff (see DESIGN.md "Fault model"). Retry k (0-based)
-/// of one connection attempt waits min(base * multiplier^k, max), scaled by
-/// a deterministic jitter factor in [1 - jitter, 1 + jitter) derived from
-/// (subscriber id, connection attempt, k). No shared RNG is consumed, so
-/// backoff timing is replayable and never perturbs determinism elsewhere;
-/// distinct subscribers still spread out instead of thundering back in sync.
-struct ReconnectBackoff {
-  SimDuration base = msec(500);
-  SimDuration max = sec(4);
-  double multiplier = 2.0;
-  double jitter = 0.2;
 };
 
 struct BrokerConfig {

@@ -1,22 +1,10 @@
 #include "core/intermediate.hpp"
 
-#include <algorithm>
-#include <cstring>
-#include <map>
-
 namespace gryphon::core {
-
-namespace {
-constexpr const char* kSubsTable = "imb_child_subs";
-
-std::string subs_key(const std::string& child, SubscriberId sub) {
-  return child + ':' + std::to_string(sub.value());
-}
-}  // namespace
 
 IntermediateBroker::IntermediateBroker(NodeResources& resources, BrokerConfig config,
                                        const std::vector<PubendId>& pubends)
-    : Broker(resources, config) {
+    : ParentBroker(resources, config, pubends, "imb_child_subs") {
   for (PubendId p : pubends) pubends_.emplace(p, PerPubend{});
   auto& m = res_.metrics;
   m_items_relayed_ = m.counter("imb.items_relayed");
@@ -24,14 +12,6 @@ IntermediateBroker::IntermediateBroker(NodeResources& resources, BrokerConfig co
   m_nacks_consolidated_upstream_ = m.counter("imb.nacks_forwarded_upstream");
   m_cache_hit_events_ = m.counter("imb.cache_hit_events");
   m_cache_miss_ticks_ = m.counter("imb.cache_miss_ticks");
-}
-
-void IntermediateBroker::add_child(sim::EndpointId child) {
-  GRYPHON_CHECK(!children_.contains(child));
-  Child c;
-  c.endpoint = child;
-  for (auto& [p, state] : pubends_) c.streams.emplace(p, ChildStream{kTickZero});
-  children_.emplace(child, std::move(c));
 }
 
 void IntermediateBroker::start(bool fresh) {
@@ -45,7 +25,7 @@ void IntermediateBroker::start(bool fresh) {
 
   // Retry unanswered consolidated nacks (covers a parent restart losing
   // pending-nack state).
-  every(config_.costs.nack_retry, [this] {
+  every(config_.costs.nack_retry.base, [this] {
     for (auto& [p, state] : pubends_) {
       if (state.upstream_pending.empty()) continue;
       send(parent_, std::make_shared<NackMsg>(p, state.upstream_pending.ranges()));
@@ -59,28 +39,11 @@ void IntermediateBroker::start(bool fresh) {
 }
 
 void IntermediateBroker::recover() {
-  // Keys name children as NodeResources::peer_key does, which survives a
-  // restart that renumbers the endpoints.
-  std::map<std::string, sim::EndpointId> child_by_key;
-  for (const auto& [ep, c] : children_) child_by_key.emplace(res_.peer_key(ep), ep);
-  for (const auto& [key, value] : res_.database.scan(kSubsTable)) {
-    const auto colon = key.rfind(':');
-    GRYPHON_CHECK(colon != std::string::npos);
-    const auto child = child_by_key.find(key.substr(0, colon));
-    if (child == child_by_key.end()) continue;
-    const SubscriberId sub{static_cast<std::uint32_t>(std::stoul(key.substr(colon + 1)))};
-    const std::string text(reinterpret_cast<const char*>(value.data()), value.size());
-    children_.at(child->second).filter.add(sub, matching::parse_predicate(text));
-    // Re-announce upstream: the parent may have restarted too; adds are
-    // idempotent.
-    send(parent_, std::make_shared<SubscribeMsg>(sub, text));
+  // Re-announce upstream: the parent may have restarted too; adds are
+  // idempotent.
+  for (auto& [sub, text] : recover_child_filters()) {
+    send(parent_, std::make_shared<SubscribeMsg>(sub, std::move(text)));
   }
-}
-
-IntermediateBroker::Child& IntermediateBroker::child(sim::EndpointId ep) {
-  auto it = children_.find(ep);
-  GRYPHON_CHECK_MSG(it != children_.end(), "message from unknown child " << ep);
-  return it->second;
 }
 
 IntermediateBroker::PerPubend& IntermediateBroker::per(PubendId p) {
@@ -106,7 +69,7 @@ SimDuration IntermediateBroker::cost_of(const Msg& msg) const {
       }
       return costs.control_process +
              static_cast<SimDuration>(n_data) *
-                 static_cast<SimDuration>(children_.size()) * costs.per_child_forward;
+                 static_cast<SimDuration>(child_count()) * costs.per_child_forward;
     }
     case MsgKind::kNack:
       return costs.nack_process;
@@ -125,12 +88,11 @@ void IntermediateBroker::handle(sim::EndpointId from, const Msg& msg) {
       on_nack(from, static_cast<const NackMsg&>(msg));
       break;
     case MsgKind::kReleaseUpdate:
-      on_release_update(from, static_cast<const ReleaseUpdateMsg&>(msg));
+      note_release_update(from, static_cast<const ReleaseUpdateMsg&>(msg));
       break;
     case MsgKind::kSubscribe: {
       const auto& m = static_cast<const SubscribeMsg&>(msg);
-      child(from).filter.add(m.subscriber, matching::parse_predicate(m.predicate_text));
-      persist_subscription(from, m.subscriber, m.predicate_text, true);
+      add_child_subscription(from, m.subscriber, m.predicate_text);
       subscribe_origin_[m.subscriber] = from;  // route the PHB's ack back
       send(parent_, std::make_shared<SubscribeMsg>(m.subscriber, m.predicate_text));
       break;
@@ -145,13 +107,15 @@ void IntermediateBroker::handle(sim::EndpointId from, const Msg& msg) {
     }
     case MsgKind::kUnsubscribe: {
       const auto& m = static_cast<const UnsubscribeMsg&>(msg);
-      child(from).filter.remove(m.subscriber);
-      persist_subscription(from, m.subscriber, {}, false);
+      remove_child_subscription(from, m.subscriber);
       send(parent_, std::make_shared<UnsubscribeMsg>(m.subscriber));
       break;
     }
     case MsgKind::kBrokerResume:
-      on_broker_resume(from, static_cast<const BrokerResumeMsg&>(msg));
+      // Each resumed stream restarts past the cache head; the missed span
+      // comes back as nacks, served from this cache where it still holds
+      // the span and consolidated upstream where not.
+      resume_child(from, static_cast<const BrokerResumeMsg&>(msg));
       break;
     default:
       GRYPHON_CHECK_MSG(false, "intermediate cannot handle message kind "
@@ -166,11 +130,7 @@ void IntermediateBroker::on_stream_data(const StreamDataMsg& msg) {
 
   // Route to children first (directly from the incoming items, so responses
   // for ranges this node chooses not to cache still reach curious children).
-  for (auto& [ep, c] : children_) {
-    auto it = c.streams.find(msg.pubend);
-    GRYPHON_CHECK(it != c.streams.end());
-    send_items(c, msg.pubend, it->second.on_items(msg.items));
-  }
+  fanout(msg.pubend, msg.items);
 
   // Then fold into the local cache and trim it.
   for (const auto& item : msg.items) {
@@ -184,15 +144,13 @@ void IntermediateBroker::on_stream_data(const StreamDataMsg& msg) {
 void IntermediateBroker::on_nack(sim::EndpointId from, const NackMsg& msg) {
   ++stats_.nacks_from_children;
   m_nacks_from_children_->inc();
-  Child& c = child(from);
   PerPubend& state = per(msg.pubend);
-  auto it = c.streams.find(msg.pubend);
-  GRYPHON_CHECK(it != c.streams.end());
 
   if (msg.authoritative_only) {
     // The local cache's silence may predate the relevant subscription:
     // record curiosity and pass the question through to the pubend.
-    for (const TickRange& r : msg.ranges) it->second.add_pending(r);
+    ChildStream& s = stream(from, msg.pubend);
+    for (const TickRange& r : msg.ranges) s.add_pending(r);
     send(parent_,
          std::make_shared<NackMsg>(msg.pubend, msg.ranges, /*authoritative=*/true));
     ++stats_.nacks_forwarded_upstream;
@@ -200,30 +158,13 @@ void IntermediateBroker::on_nack(sim::EndpointId from, const NackMsg& msg) {
     return;
   }
 
-  auto outcome = it->second.on_nack(msg.ranges, state.cache);
-
-  std::size_t served = 0;
-  for (const auto& item : outcome.respond) {
-    if (item.value == routing::TickValue::kD) ++served;
-  }
-  stats_.nack_events_served_from_cache += served;
-  m_cache_hit_events_->inc(served);
-  if (!outcome.respond.empty()) {
-    cpu_then(static_cast<SimDuration>(served) * config_.costs.per_nack_response_event,
-             [this, from, p = msg.pubend, items = std::move(outcome.respond)] {
-               send_items(child(from), p, items);
-             });
-  }
+  const NackServed served = serve_nack(from, msg, state.cache);
+  stats_.nack_events_served_from_cache += served.events;
+  m_cache_hit_events_->inc(served.events);
 
   // Consolidate the unknown ranges upstream: forward only what is not
   // already outstanding.
-  std::vector<TickRange> forward;
-  for (const TickRange& r : outcome.unknown) {
-    for (const TickRange& fresh : state.upstream_pending.complement_within(r.from, r.to)) {
-      forward.push_back(fresh);
-      state.upstream_pending.add(fresh);
-    }
-  }
+  std::vector<TickRange> forward = state.upstream_pending.add_uncovered(served.unknown);
   if (!forward.empty()) {
     ++stats_.nacks_forwarded_upstream;
     m_nacks_consolidated_upstream_->inc();
@@ -236,69 +177,16 @@ void IntermediateBroker::on_nack(sim::EndpointId from, const NackMsg& msg) {
   }
 }
 
-void IntermediateBroker::on_release_update(sim::EndpointId from,
-                                           const ReleaseUpdateMsg& msg) {
-  Child& c = child(from);
-  auto it = c.streams.find(msg.pubend);
-  GRYPHON_CHECK(it != c.streams.end());
-  // As at the PHB: released is taken as reported (migrations may lower it).
-  it->second.released = msg.released;
-  it->second.latest_delivered = std::max(it->second.latest_delivered, msg.latest_delivered);
-}
-
 void IntermediateBroker::send_release_mins() {
-  if (children_.empty()) return;
   for (auto& [p, state] : pubends_) {
-    Tick rel = kTickInfinity;
-    Tick del = kTickInfinity;
-    for (auto& [ep, c] : children_) {
-      const ChildStream& s = c.streams.at(p);
-      rel = std::min(rel, s.released);
-      del = std::min(del, s.latest_delivered);
+    const auto mins = release_mins(p);
+    // Nothing to aggregate without children or before any of them reported.
+    if (!mins || (mins->released == kTickZero && mins->latest_delivered == kTickZero)) {
+      continue;
     }
-    if (del == kTickZero && rel == kTickZero) continue;  // nothing reported yet
-    send(parent_, std::make_shared<ReleaseUpdateMsg>(p, rel, del));
+    send(parent_,
+         std::make_shared<ReleaseUpdateMsg>(p, mins->released, mins->latest_delivered));
   }
-}
-
-void IntermediateBroker::on_broker_resume(sim::EndpointId from,
-                                          const BrokerResumeMsg& msg) {
-  Child& c = child(from);
-  for (const auto& [p, resume] : msg.resume_from) {
-    PerPubend& state = per(p);
-    // As at the PHB: resume the fresh stream from the local head; the
-    // missed span comes back as flow-controlled nacks (served from this
-    // cache where it still holds the span, consolidated upstream where not).
-    (void)resume;
-    auto it = c.streams.find(p);
-    GRYPHON_CHECK(it != c.streams.end());
-    it->second.reset(state.cache.head());
-  }
-}
-
-void IntermediateBroker::send_items(Child& c, PubendId p,
-                                    const std::vector<routing::KnowledgeItem>& items) {
-  if (items.empty()) return;
-  auto filtered = filter_items(items, &c.filter);
-  const std::size_t chunk = config_.costs.max_items_per_msg;
-  for (std::size_t i = 0; i < filtered.size(); i += chunk) {
-    const auto end = std::min(filtered.size(), i + chunk);
-    send(c.endpoint,
-         std::make_shared<StreamDataMsg>(
-             p, std::vector<routing::KnowledgeItem>(filtered.begin() + i,
-                                                    filtered.begin() + end)));
-  }
-}
-
-void IntermediateBroker::persist_subscription(sim::EndpointId child_ep, SubscriberId sub,
-                                              const std::string& predicate, bool add) {
-  std::vector<std::byte> value;
-  if (add) {
-    value.resize(predicate.size());
-    std::memcpy(value.data(), predicate.data(), predicate.size());
-  }
-  res_.database.commit(
-      0, {{kSubsTable, subs_key(res_.peer_key(child_ep), sub), std::move(value)}});
 }
 
 }  // namespace gryphon::core

@@ -1,32 +1,28 @@
 // Intermediate broker (paper §3): a pure cache-and-relay node.
 //
-// Downstream: routes knowledge to children (content-filtered per link),
-// serving nack responses from its volatile event cache. Upstream: forwards
-// subscription changes, aggregates release mins, and *consolidates* nacks —
-// overlapping curiosity from several children becomes one upstream nack, and
-// the single response fans back out to every curious child. The cache is a
-// TickMap with bounded span; losing cached knowledge never affects
-// correctness, only where nacks must travel.
+// Downstream (ParentBroker): routes knowledge to children, content-filtered
+// per link, serving nack responses from its volatile event cache. Upstream:
+// forwards subscription changes, aggregates release mins, and
+// *consolidates* nacks — overlapping curiosity from several children
+// becomes one upstream nack, and the single response fans back out to
+// every curious child. The cache is a TickMap with bounded span; losing
+// cached knowledge never affects correctness, only where nacks must travel.
 #pragma once
 
 #include <map>
 #include <vector>
 
-#include "core/broker.hpp"
 #include "core/child_stream.hpp"
-#include "matching/parser.hpp"
-#include "matching/subscription_index.hpp"
 #include "routing/tick_map.hpp"
 
 namespace gryphon::core {
 
-class IntermediateBroker final : public Broker {
+class IntermediateBroker final : public ParentBroker {
  public:
   IntermediateBroker(NodeResources& resources, BrokerConfig config,
                      const std::vector<PubendId>& pubends);
 
   void set_parent(sim::EndpointId parent) { parent_ = parent; }
-  void add_child(sim::EndpointId child);
 
   /// Starts timers and performs the resume handshake with the parent.
   /// `fresh` distinguishes first boot (resume from stream start) from a
@@ -52,36 +48,26 @@ class IntermediateBroker final : public Broker {
  protected:
   void handle(sim::EndpointId from, const Msg& msg) override;
   [[nodiscard]] SimDuration cost_of(const Msg& msg) const override;
+  [[nodiscard]] Tick head(PubendId p) const override { return cache_head(p); }
+  /// A new link streams everything relayed from now on, not only what lies
+  /// past the cache head.
+  [[nodiscard]] Tick new_link_start(PubendId) const override { return kTickZero; }
 
  private:
-  struct Child {
-    sim::EndpointId endpoint;
-    matching::SubscriptionIndex filter;
-    std::map<PubendId, ChildStream> streams;
-  };
-
   struct PerPubend {
     routing::TickMap cache{kTickZero};
     IntervalSet upstream_pending;  // consolidated nacks awaiting response
   };
 
-  Child& child(sim::EndpointId ep);
   PerPubend& per(PubendId p);
   [[nodiscard]] const PerPubend& per(PubendId p) const;
 
   void on_stream_data(const StreamDataMsg& msg);
   void on_nack(sim::EndpointId from, const NackMsg& msg);
-  void on_release_update(sim::EndpointId from, const ReleaseUpdateMsg& msg);
-  void on_broker_resume(sim::EndpointId from, const BrokerResumeMsg& msg);
-
-  void send_items(Child& c, PubendId p, const std::vector<routing::KnowledgeItem>& items);
   void send_release_mins();
-  void persist_subscription(sim::EndpointId child, SubscriberId sub,
-                            const std::string& predicate, bool add);
 
   sim::EndpointId parent_ = 0;
   std::map<PubendId, PerPubend> pubends_;
-  std::map<sim::EndpointId, Child> children_;
   /// Which child to route a pending SubscribeAck back to.
   std::map<SubscriberId, sim::EndpointId> subscribe_origin_;
   Stats stats_;

@@ -1,32 +1,27 @@
 // Publisher Hosting Broker.
 //
 // Hosts pubends: accepts publishes, logs each event once (group-committed),
-// announces durable events/silence down the broker tree with per-link
-// content filtering, serves nacks from the authoritative ladder, aggregates
-// the release protocol, and applies the early-release policy.
+// and announces durable events/silence down the broker tree. Toward its
+// children it is a ParentBroker (per-link content filtering, nack serving,
+// release minima) whose nack cache is the pubends' authoritative ladder. It
+// feeds the release minima to the pubends and applies the early-release
+// policy.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <vector>
 
-#include "core/broker.hpp"
 #include "core/child_stream.hpp"
 #include "core/pubend.hpp"
-#include "matching/parser.hpp"
-#include "matching/subscription_index.hpp"
 
 namespace gryphon::core {
 
-class PublisherHostingBroker final : public Broker {
+class PublisherHostingBroker final : public ParentBroker {
  public:
   PublisherHostingBroker(NodeResources& resources, BrokerConfig config,
                          const std::vector<PubendId>& pubends,
                          ReleasePolicyPtr policy = std::make_shared<NoEarlyReleasePolicy>());
-
-  /// Registers a downstream broker link (topology wiring; links themselves
-  /// are created by the harness).
-  void add_child(sim::EndpointId child);
 
   /// Starts timers (silence generation, release application). Call once
   /// after wiring, or after a restart recovery.
@@ -50,38 +45,17 @@ class PublisherHostingBroker final : public Broker {
  protected:
   void handle(sim::EndpointId from, const Msg& msg) override;
   [[nodiscard]] SimDuration cost_of(const Msg& msg) const override;
+  [[nodiscard]] Tick head(PubendId p) const override;
 
  private:
-  struct Child {
-    sim::EndpointId endpoint;
-    matching::SubscriptionIndex filter;
-    std::map<PubendId, ChildStream> streams;
-  };
-
-  Child& child(sim::EndpointId ep);
-
   void on_publish(sim::EndpointId from, const PublishMsg& msg);
   void on_nack(sim::EndpointId from, const NackMsg& msg);
-  void on_release_update(sim::EndpointId from, const ReleaseUpdateMsg& msg);
   void on_subscribe(sim::EndpointId from, const SubscribeMsg& msg);
-  void on_unsubscribe(sim::EndpointId from, const UnsubscribeMsg& msg);
-  void on_broker_resume(sim::EndpointId from, const BrokerResumeMsg& msg);
-
-  /// Fans freshly announced knowledge out to every child.
-  void fanout(PubendId p, const std::vector<routing::KnowledgeItem>& items);
-
-  /// Sends items to one child, filtered and chunked.
-  void send_items(Child& c, PubendId p, const std::vector<routing::KnowledgeItem>& items);
 
   /// Recomputes release mins for a pubend and feeds them to it.
   void refresh_release_mins(PubendId p);
 
-  /// Persists one child subscription row (for restart).
-  void persist_subscription(sim::EndpointId child, SubscriberId sub,
-                            const std::string& predicate, bool add);
-
   std::map<PubendId, std::unique_ptr<Pubend>> pubends_;
-  std::map<sim::EndpointId, Child> children_;
   ReleasePolicyPtr policy_;
   Stats stats_;
 

@@ -931,14 +931,7 @@ std::vector<TickRange> SubscriberHostingBroker::fill_catchup_from_istream(
 
 void SubscriberHostingBroker::consolidate_nack(PubendId p, PerPubend& state,
                                                const std::vector<TickRange>& ranges) {
-  std::vector<TickRange> forward;
-  for (const TickRange& r : ranges) {
-    for (const TickRange& fresh :
-         state.upstream_pending.complement_within(r.from, r.to)) {
-      forward.push_back(fresh);
-      state.upstream_pending.add(fresh);
-    }
-  }
+  std::vector<TickRange> forward = state.upstream_pending.add_uncovered(ranges);
   if (!forward.empty()) {
     ++stats_.nacks_sent_upstream;
     m_nacks_upstream_->inc();
@@ -949,32 +942,6 @@ void SubscriberHostingBroker::consolidate_nack(PubendId p, PerPubend& state,
 
 // ------------------------------------------------------- nack-retry backoff
 
-SimDuration SubscriberHostingBroker::nack_backoff_delay(std::uint64_t salt,
-                                                        std::uint32_t attempt) const {
-  const auto& c = config_.costs;
-  double delay = static_cast<double>(c.nack_retry);
-  for (std::uint32_t k = 0;
-       k < attempt && delay < static_cast<double>(c.nack_retry_max); ++k) {
-    delay *= c.nack_retry_multiplier;
-  }
-  delay = std::min(delay, static_cast<double>(c.nack_retry_max));
-  // Deterministic jitter, same scheme as the client reconnect backoff: a
-  // splitmix-style hash of (broker, stream, attempt) spreads stragglers out
-  // without consuming any shared RNG, so retry timing stays replayable.
-  std::uint64_t h =
-      (static_cast<std::uint64_t>(res_.endpoint) + 1) * 0x9e3779b97f4a7c15ULL;
-  h ^= (salt + 1) * 0xbf58476d1ce4e5b9ULL;
-  h ^= (static_cast<std::uint64_t>(attempt) + 1) * 0x94d049bb133111ebULL;
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  const double unit = static_cast<double>(h >> 11) * 0x1.0p-53;
-  delay *= 1.0 - c.nack_retry_jitter + 2.0 * c.nack_retry_jitter * unit;
-  return std::max<SimDuration>(1, static_cast<SimDuration>(std::llround(delay)));
-}
-
 void SubscriberHostingBroker::schedule_catchup_nack_retry(SubscriberState& s,
                                                           PubendId p) {
   CatchupStream* stream = catchup_of(s, p);
@@ -984,7 +951,7 @@ void SubscriberHostingBroker::schedule_catchup_nack_retry(SubscriberState& s,
   cs.nack_retry_scheduled = true;
   const std::uint64_t salt = (static_cast<std::uint64_t>(s.id.value()) << 32) |
                              (static_cast<std::uint64_t>(p.value()) << 8) | 1;
-  defer(nack_backoff_delay(salt, cs.nack_attempt),
+  defer(config_.costs.nack_retry.delay(res_.endpoint, salt, cs.nack_attempt),
         [this, sid = s.id, session = s.session, p, progress = cs.nack_progress] {
           SubscriberState* found = try_sub(sid);
           if (found == nullptr || found->session != session) return;
@@ -1018,7 +985,7 @@ void SubscriberHostingBroker::schedule_istream_nack_retry(PubendId p) {
   if (state.nack_retry_scheduled || state.upstream_pending.empty()) return;
   state.nack_retry_scheduled = true;
   const std::uint64_t salt = (static_cast<std::uint64_t>(p.value()) << 8) | 2;
-  defer(nack_backoff_delay(salt, state.nack_attempt),
+  defer(config_.costs.nack_retry.delay(res_.endpoint, salt, state.nack_attempt),
         [this, p, progress = per(p).nack_progress] {
           PerPubend& st = per(p);
           st.nack_retry_scheduled = false;
@@ -1046,7 +1013,9 @@ void SubscriberHostingBroker::schedule_setup_retry(SubscriberId sid) {
   }
   pit->second.announce_retry_scheduled = true;
   const std::uint64_t salt = (static_cast<std::uint64_t>(sid.value()) << 8) | 3;
-  defer(nack_backoff_delay(salt, pit->second.announce_attempt), [this, sid] {
+  const SimDuration delay =
+      config_.costs.nack_retry.delay(res_.endpoint, salt, pit->second.announce_attempt);
+  defer(delay, [this, sid] {
     auto pit2 = pending_setups_.find(sid);
     if (pit2 == pending_setups_.end()) return;
     pit2->second.announce_retry_scheduled = false;
@@ -1432,20 +1401,7 @@ void SubscriberHostingBroker::nack_istream_gaps() {
     if (head <= state.processed_upto) continue;
     const Tick limit =
         std::min(head, state.processed_upto + config_.costs.istream_nack_window);
-    std::vector<TickRange> forward;
-    for (const TickRange& q : state.istream.q_ranges(state.processed_upto + 1, limit)) {
-      for (const TickRange& fresh :
-           state.upstream_pending.complement_within(q.from, q.to)) {
-        forward.push_back(fresh);
-        state.upstream_pending.add(fresh);
-      }
-    }
-    if (!forward.empty()) {
-      ++stats_.nacks_sent_upstream;
-      m_nacks_upstream_->inc();
-      send(parent_, std::make_shared<NackMsg>(p, std::move(forward)));
-      schedule_istream_nack_retry(p);
-    }
+    consolidate_nack(p, state, state.istream.q_ranges(state.processed_upto + 1, limit));
   }
 }
 

@@ -334,9 +334,7 @@ class SubscriberHostingBroker final : public Broker {
   void release_all_catchup(SubscriberState& s);
   void drain_admission_queue();
 
-  // seeded deterministic jittered exponential nack-retry backoff
-  [[nodiscard]] SimDuration nack_backoff_delay(std::uint64_t salt,
-                                               std::uint32_t attempt) const;
+  // Retries back off by config_.costs.nack_retry, salted per stream.
   void schedule_catchup_nack_retry(SubscriberState& s, PubendId p);
   void schedule_istream_nack_retry(PubendId p);
   void schedule_setup_retry(SubscriberId sid);

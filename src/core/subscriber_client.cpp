@@ -42,35 +42,16 @@ void DurableSubscriber::try_connect() {
                  options_.jms_auto_ack,
                  /*use_stored_ct=*/options_.jms_auto_ack && subscribed_));
   const std::uint64_t attempt = connect_attempt_;
-  defer(backoff_delay(retry_count_), [this, attempt] {
+  // Jitter is salted by (subscriber id, connection attempt).
+  const SimDuration delay =
+      options_.backoff.delay(options_.id.value(), connect_attempt_, retry_count_);
+  defer(delay, [this, attempt] {
     // Retry while this connection attempt is still the current one.
     if (connecting_ && !connected_ && attempt == connect_attempt_) {
       ++retry_count_;
       try_connect();
     }
   });
-}
-
-SimDuration DurableSubscriber::backoff_delay(std::uint64_t retry) const {
-  const ReconnectBackoff& b = options_.backoff;
-  const auto cap = static_cast<double>(b.max);
-  double delay = static_cast<double>(b.base);
-  for (std::uint64_t i = 0; i < retry && delay < cap; ++i) delay *= b.multiplier;
-  delay = std::min(delay, cap);
-  // Deterministic jitter: a splitmix-style hash of (subscriber id, attempt,
-  // retry) mapped to [1 - jitter, 1 + jitter). Same inputs give the same
-  // delay, so runs replay exactly; different subscribers spread out.
-  std::uint64_t h = (options_.id.value() + 1) * 0x9e3779b97f4a7c15ULL;
-  h ^= (connect_attempt_ + 1) * 0xbf58476d1ce4e5b9ULL;
-  h ^= (retry + 1) * 0x94d049bb133111ebULL;
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  const double unit = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
-  delay *= 1.0 - b.jitter + 2.0 * b.jitter * unit;
-  return std::max<SimDuration>(1, static_cast<SimDuration>(std::llround(delay)));
 }
 
 void DurableSubscriber::disconnect() {

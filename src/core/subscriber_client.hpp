@@ -31,7 +31,7 @@ class DurableSubscriber final : public Client {
     SimDuration ack_interval = msec(250);
     /// Connection retries back off exponentially with deterministic jitter;
     /// backoff.base is the first retry delay (previously a fixed period).
-    ReconnectBackoff backoff{};
+    Backoff backoff{msec(500), sec(4)};
     bool auto_reconnect = true;  // reconnect after a connection reset
   };
 
@@ -80,10 +80,6 @@ class DurableSubscriber final : public Client {
 
  private:
   void try_connect();
-
-  /// Delay before retry number `retry` (0-based) of the current connection
-  /// attempt: capped exponential with deterministic jitter.
-  [[nodiscard]] SimDuration backoff_delay(std::uint64_t retry) const;
 
   Options options_;
   sim::EndpointId shb_;

@@ -42,7 +42,8 @@ namespace gryphon::harness {
 class DeliveryOracle final : public core::SubscriberObserver,
                              public core::PublisherObserver {
  public:
-  explicit DeliveryOracle(sim::Simulator& simulator) : sim_(simulator) {}
+  /// The simulator argument is unused; perfbench still passes one.
+  explicit DeliveryOracle(sim::Simulator& /*simulator*/) {}
 
   /// Registers a subscriber for verification. `machine` groups delivery
   /// rates the way the paper groups subscribers onto client machines.
@@ -179,7 +180,6 @@ class DeliveryOracle final : public core::SubscriberObserver,
   /// sparse enough for 5,000 predicates per checked event.
   static constexpr std::uint64_t kCrossCheckEvery = 256;
 
-  sim::Simulator& sim_;
   std::map<PubendId, std::map<Tick, matching::EventDataPtr>> published_;
   /// (tick, publish() call time), ascending, indexed by pubend id.
   std::vector<std::vector<std::pair<Tick, SimTime>>> publish_times_;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "util/rng.hpp"
+
 namespace gryphon::sim {
 
 EndpointId Network::add_endpoint(std::string name, Handler handler) {
@@ -117,16 +119,6 @@ const LinkNetwork::Link& LinkNetwork::link(EndpointId a, EndpointId b) const {
   return *l;
 }
 
-namespace {
-/// splitmix64 — the deterministic mixer behind seeded frame mangling.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-}  // namespace
-
 bool LinkNetwork::send(EndpointId from, EndpointId to, MessagePtr msg) {
   GRYPHON_CHECK(msg != nullptr);
   Link& l = link(from, to);
@@ -172,7 +164,7 @@ bool LinkNetwork::send(EndpointId from, EndpointId to, MessagePtr msg) {
 
 MessagePtr LinkNetwork::mangle(Link& l, const MessagePtr& msg) {
   ++corrupted_frames_;
-  const std::uint64_t draw = mix64(l.corrupt_seed + l.corrupt_drawn++);
+  const std::uint64_t draw = splitmix64(l.corrupt_seed + l.corrupt_drawn++);
   // Frames are told apart by their ownership handle: even a zero-length
   // mangled frame is still a frame, while struct messages have no bytes.
   const std::span<const std::byte> bytes = msg->wire_bytes();

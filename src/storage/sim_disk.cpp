@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/rng.hpp"
+
 namespace gryphon::storage {
 
 SimDisk::SimDisk(sim::Scheduler& scheduler, std::string name, DiskConfig config)
@@ -87,16 +89,6 @@ void SimDisk::inject_stall(SimDuration duration) {
   stall_time_ += duration;
 }
 
-namespace {
-/// splitmix64 — same deterministic mixer the network uses for frame mangling.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-}  // namespace
-
 void SimDisk::arm_read_faults(int count, std::uint64_t seed,
                               SimDuration penalty_lo, SimDuration penalty_hi) {
   GRYPHON_CHECK(count > 0);
@@ -111,7 +103,7 @@ void SimDisk::arm_read_faults(int count, std::uint64_t seed,
 void SimDisk::clear_read_faults() { read_fault_remaining_ = 0; }
 
 SimDuration SimDisk::draw_read_fault_penalty() {
-  const std::uint64_t draw = mix64(read_fault_seed_ + read_fault_drawn_++);
+  const std::uint64_t draw = splitmix64(read_fault_seed_ + read_fault_drawn_++);
   const auto span = static_cast<std::uint64_t>(read_fault_hi_ - read_fault_lo_) + 1;
   return read_fault_lo_ + static_cast<SimDuration>(draw % span);
 }

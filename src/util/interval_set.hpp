@@ -42,6 +42,11 @@ class IntervalSet {
   void add(Tick from, Tick to);
   void add(TickRange r) { add(r.from, r.to); }
 
+  /// Inserts every range and returns the pieces that were not already
+  /// covered, in insertion order (nack consolidation: forward only what is
+  /// not outstanding yet).
+  [[nodiscard]] std::vector<TickRange> add_uncovered(const std::vector<TickRange>& ranges);
+
   /// Removes [from, to] (splitting intervals as needed).
   void subtract(Tick from, Tick to);
   void subtract(TickRange r) { subtract(r.from, r.to); }
@@ -126,6 +131,18 @@ inline void IntervalSet::add(Tick from, Tick to) {
     runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(lo) + 1,
                 runs_.begin() + static_cast<std::ptrdiff_t>(hi));
   }
+}
+
+inline std::vector<TickRange> IntervalSet::add_uncovered(
+    const std::vector<TickRange>& ranges) {
+  std::vector<TickRange> added;
+  for (const TickRange& r : ranges) {
+    for (const TickRange& fresh : complement_within(r.from, r.to)) {
+      added.push_back(fresh);
+      add(fresh);
+    }
+  }
+  return added;
 }
 
 inline void IntervalSet::subtract(Tick from, Tick to) {

@@ -11,20 +11,33 @@
 
 namespace gryphon {
 
+/// splitmix64's output function: a full-avalanche 64-bit mix.
+[[nodiscard]] constexpr std::uint64_t splitmix64_finalize(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// splitmix64's state increment (the golden-ratio gamma).
+inline constexpr std::uint64_t kSplitmixGamma = 0x9e3779b97f4a7c15ULL;
+
+/// One splitmix64 output from state x: the deterministic mixer behind every
+/// seeded draw that must not consume a shared Rng (frame mangling, disk read
+/// faults, sampled codec verification, subscriber sharding, Rng seeding).
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  return splitmix64_finalize(x + kSplitmixGamma);
+}
+
 /// xoshiro256** seeded via splitmix64. Deterministic across platforms.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) { reseed(seed); }
+  explicit Rng(std::uint64_t seed = kSplitmixGamma) { reseed(seed); }
 
   void reseed(std::uint64_t seed) {
     std::uint64_t x = seed;
     for (auto& word : s_) {
-      // splitmix64 step
-      x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      word = z ^ (z >> 31);
+      word = splitmix64(x);
+      x += kSplitmixGamma;
     }
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 #include "wire/codec.hpp"
 
 namespace gryphon::wire {
@@ -77,12 +78,7 @@ bool CodecTransport::should_verify() {
   if (options_.verify_every <= 1) return true;
   // splitmix64 over (seed, decode ordinal): deterministic for a given seed,
   // uncorrelated with the traffic pattern.
-  std::uint64_t x = options_.verify_seed + 0x9E3779B97F4A7C15ull * ++decode_draws_;
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
+  const std::uint64_t x = splitmix64(options_.verify_seed + kSplitmixGamma * decode_draws_++);
   return x % options_.verify_every == 0;
 }
 

@@ -5,6 +5,7 @@
 
 #include "harness/system.hpp"
 #include "harness/workload.hpp"
+#include "matching/event.hpp"
 
 namespace gryphon {
 namespace {
@@ -302,6 +303,56 @@ TEST(Failures, ReleasedHeldWhileSubscribersDown) {
   for (auto* sub : subs) sub->connect();
   system.run_for(sec(15));
   EXPECT_GT(system.shb().released(p0), frozen + 10'000);
+  system.verify_exactly_once();
+}
+
+TEST(Failures, RestartedParentsRecoverOnlyTheLiveChildFilters) {
+  // PHB <- intermediate <- SHB with two subscribers on disjoint predicates.
+  // Once one unsubscribes, both parents must come back from a crash with
+  // the other's filter only: the PHB from its persisted child rows, the
+  // intermediate from its own (which it also re-announces to the PHB).
+  // A removed-group event is padded far above everything else on the links,
+  // so a single one reaching the intermediate or the SHB as data shows in
+  // their delivered bytes; as silence it costs a few bytes.
+  constexpr std::size_t kRemovedPayload = 64 * 1024;
+  SystemConfig config;
+  config.num_pubends = 1;
+  config.num_shbs = 1;
+  config.num_intermediates = 1;
+  System system(config);
+  auto& pub = system.add_publisher(
+      system.pubends()[0], msec(20), [](std::uint64_t seq) {
+        const std::int64_t g = static_cast<std::int64_t>(seq % 2);
+        return std::make_shared<matching::EventData>(
+            matching::EventData::AttributeList{{"g", matching::Value(g)}}, std::string{},
+            g == 1 ? kRemovedPayload : 64);
+      });
+  pub.start();
+  auto subs = harness::add_group_subscribers(system, 0, 2, 2, 1);  // g == 0, g == 1
+  system.run_for(sec(3));
+  ASSERT_GT(subs[1]->events_received(), 0u);
+
+  subs[1]->unsubscribe();
+  system.run_for(sec(2));
+  system.crash_phb();
+  system.run_for(sec(1));
+  system.restart_phb();
+  system.run_for(sec(3));
+  system.crash_intermediate(0);
+  system.run_for(sec(1));
+  system.restart_intermediate(0);
+  system.run_for(sec(5));  // the SHB re-nacks the outage; responses settle
+
+  auto& net = system.network();
+  const auto imb_bytes = net.delivered_bytes_to(system.intermediate_endpoint(0));
+  const auto shb_bytes = net.delivered_bytes_to(system.shb_endpoint(0));
+  const auto kept_before = subs[0]->events_received();
+  system.run_for(sec(5));  // ~125 events of each group
+  EXPECT_LT(net.delivered_bytes_to(system.intermediate_endpoint(0)) - imb_bytes,
+            kRemovedPayload);
+  EXPECT_LT(net.delivered_bytes_to(system.shb_endpoint(0)) - shb_bytes, kRemovedPayload);
+  EXPECT_GT(subs[0]->events_received(), kept_before + 100);
+  EXPECT_EQ(subs[0]->gaps_received(), 0u);
   system.verify_exactly_once();
 }
 

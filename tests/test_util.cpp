@@ -1,6 +1,7 @@
-// Unit tests: interval sets, statistics, RNG, byte buffers, ids.
+// Unit tests: interval sets, statistics, RNG, backoff, byte buffers, ids.
 #include <gtest/gtest.h>
 
+#include "util/backoff.hpp"
 #include "util/byte_buffer.hpp"
 #include "util/ids.hpp"
 #include "util/interval_set.hpp"
@@ -114,6 +115,19 @@ TEST(IntervalSet, IntersectionAndComplement) {
   EXPECT_EQ(comp[0], (TickRange{5, 9}));
   EXPECT_EQ(comp[1], (TickRange{21, 29}));
   EXPECT_EQ(comp[2], (TickRange{41, 45}));
+}
+
+TEST(IntervalSet, AddUncoveredReturnsOnlyTheFreshPieces) {
+  IntervalSet s;
+  s.add(10, 20);
+  const auto fresh = s.add_uncovered({{5, 12}, {18, 25}, {22, 30}, {40, 40}});
+  ASSERT_EQ(fresh.size(), 4u);
+  EXPECT_EQ(fresh[0], (TickRange{5, 9}));
+  EXPECT_EQ(fresh[1], (TickRange{21, 25}));
+  EXPECT_EQ(fresh[2], (TickRange{26, 30}));  // [22,25] was added just before
+  EXPECT_EQ(fresh[3], (TickRange{40, 40}));
+  EXPECT_TRUE(s.covers(5, 30));
+  EXPECT_TRUE(s.add_uncovered({{6, 29}}).empty());
 }
 
 TEST(IntervalSet, CoversAndIntersects) {
@@ -306,6 +320,51 @@ TEST(Rng, ExponentialHasRequestedMean) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) sum += rng.next_exponential(5.0);
   EXPECT_NEAR(sum / n, 5.0, 0.1);
+}
+
+TEST(Splitmix64, MatchesTheReferenceOutputs) {
+  static_assert(splitmix64(0) == 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(splitmix64(1), 0x910a2dec89025cc1ULL);
+  EXPECT_EQ(splitmix64(0xdeadbeefULL), 0x4adfb90f68c9eb9bULL);
+  EXPECT_EQ(splitmix64(~0ULL), 0xe4d971771b652c20ULL);
+  EXPECT_EQ(splitmix64(41), splitmix64_finalize(41 + kSplitmixGamma));
+}
+
+// --------------------------------------------------------------- backoff
+
+// Pinned delays of the client reconnect and the SHB nack-retry backoffs at
+// their defaults: retry timing is part of every seeded run, so a drift here
+// changes the replay of every chaos and churn seed.
+TEST(Backoff, DelaysMatchTheRecordedValues) {
+  const Backoff reconnect{msec(500), sec(4)};
+  EXPECT_EQ(reconnect.delay(0, 1, 0), 429637);
+  EXPECT_EQ(reconnect.delay(0, 1, 1), 870710);
+  EXPECT_EQ(reconnect.delay(7, 1, 0), 481904);
+  EXPECT_EQ(reconnect.delay(7, 2, 3), 4480428);
+  EXPECT_EQ(reconnect.delay(41, 1, 10), 3280308);
+  EXPECT_EQ(reconnect.delay(123456, 5, 2), 1792877);
+
+  const Backoff nack{msec(1000), sec(4)};
+  EXPECT_EQ(nack.delay(3, 0x700000001ULL, 0), 863048);
+  EXPECT_EQ(nack.delay(3, 0x102, 1), 2273802);
+  EXPECT_EQ(nack.delay(5, 0x903, 2), 3983577);
+  EXPECT_EQ(nack.delay(12, 0x100000201ULL, 3), 3645246);
+  EXPECT_EQ(nack.delay(12, 0x2, 7), 4690544);
+
+  EXPECT_EQ((Backoff{10, 1000, 3.0, 0.0}.delay(1, 1, 4)), 810);
+  EXPECT_EQ((Backoff{10, 1000, 3.0, 0.5}.delay(2, 3, 9)), 1431);
+}
+
+TEST(Backoff, StaysWithinTheJitterBandOfTheCappedExponential) {
+  const Backoff b{msec(100), sec(1), 2.0, 0.25};
+  for (std::uint64_t retry = 0; retry < 12; ++retry) {
+    const double nominal = std::min(100'000.0 * static_cast<double>(1ULL << retry), 1e6);
+    for (std::uint64_t salt = 0; salt < 50; ++salt) {
+      const auto d = static_cast<double>(b.delay(salt, 9, retry));
+      EXPECT_GE(d, nominal * 0.75 - 1);
+      EXPECT_LT(d, nominal * 1.25 + 1);
+    }
+  }
 }
 
 // ----------------------------------------------------------- byte buffer

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Chaos soak under ASan+UBSan: first builds the tier-1 configuration with
 # warnings as errors, then builds the sanitizer preset and runs N seeded
-# fault schedules plus the chaos, delivery-path, oracle, storage, WAL,
-# socket, durability and wire test suites and a `gryphon_bench sockets`
+# fault schedules plus the chaos, failures, delivery-path, oracle, storage,
+# WAL, socket, durability and wire test suites and a `gryphon_bench sockets`
 # smoke of the real runtime, then runs the socket and power-loss durability
 # suites again under ThreadSanitizer (the real runtime's syncer threads).
 # Any invariant violation prints the offending
@@ -24,10 +24,15 @@ cmake --preset werror
 cmake --build --preset werror -j "$(nproc)"
 
 cmake --preset asan-ubsan
-cmake --build --preset asan-ubsan -j "$(nproc)" --target test_chaos test_delivery_path test_determinism_and_oracle test_net test_durability test_wire test_storage test_wal gryphon_broker_cli gryphon_bench gryphon_report
+cmake --build --preset asan-ubsan -j "$(nproc)" --target test_chaos test_failures test_delivery_path test_determinism_and_oracle test_net test_durability test_wire test_storage test_wal gryphon_broker_cli gryphon_bench gryphon_report
 
 echo "== chaos test suite (asan-ubsan) =="
 ./build-asan/tests/test_chaos
+
+echo "== failures suite (asan-ubsan) =="
+# PHB, intermediate and SHB crash/restart: the brokers are destroyed while
+# their node resources, queued CPU work and timers live on.
+./build-asan/tests/test_failures
 
 echo "== delivery-path suite (asan-ubsan) =="
 # The flat per-delivery state: the SHB session table and per-pubend entries
